@@ -29,7 +29,8 @@ namespace pe::core
 struct PathExpanderEngine::RunState
 {
     RunState(const isa::Program &program, const PeConfig &config)
-        : memory(config.layout.memWords),
+        : lease(config.layout.memWords),
+          memory(*lease),
           btb(config.btbParams),
           hierarchy(config.mode == PeMode::Cmp ? config.numCores : 1,
                     config.timing.mem),
@@ -38,7 +39,13 @@ struct PathExpanderEngine::RunState
           rng(config.randomSpawnSeed)
     {}
 
-    mem::MainMemory memory;
+    /**
+     * The memory image, borrowed from the process-wide free list and
+     * returned (reset) when the run ends, by any exit.  Everything
+     * else here is built fresh for the run.
+     */
+    mem::MemoryLease lease;
+    mem::MainMemory &memory;
     branch::Btb btb;
     mem::MemHierarchy hierarchy;
     detect::ObjectRegistry registry;    //!< primary-path object view

@@ -79,16 +79,15 @@ VersionedBuffer::commitTo(MainMemory &main) const
 {
     // Distinct words only, so the final image is independent of the
     // table's iteration order.
-    std::span<int32_t> image = main.words();
     for (const Line &line : table) {
         if (line.tag == emptyTag)
             continue;
         uint64_t base = uint64_t{line.tag} * wordsPerLine;
         for (uint32_t w = 0; w < wordsPerLine; ++w) {
             if (line.mask & (1u << w)) {
-                pe_assert(base + w < image.size(),
+                pe_assert(base + w < main.size(),
                           "commit out of range: ", base + w);
-                image[base + w] = line.data[w];
+                main.store(static_cast<uint32_t>(base + w), line.data[w]);
             }
         }
     }

@@ -181,7 +181,7 @@ class MemCtx
         if (buf)
             buf->write(addr, value);
         else
-            mainMem->words()[addr] = value;
+            mainMem->store(addr, value);
     }
 
     MainMemory *mainMem;

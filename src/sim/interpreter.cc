@@ -5,9 +5,6 @@
 
 #include "src/sim/interpreter.hh"
 
-#include <algorithm>
-#include <span>
-
 #include "src/isa/regs.hh"
 #include "src/sim/arith.hh"
 #include "src/support/status.hh"
@@ -39,11 +36,7 @@ loadProgram(const isa::Program &program, mem::MainMemory &memory,
                   program.dataInit.size(),
               "heap overlaps the data segment");
 
-    std::span<int32_t> image = memory.words();
-    pe_assert(program.dataBase + program.dataInit.size() <= image.size(),
-              "data segment does not fit in memory");
-    std::copy(program.dataInit.begin(), program.dataInit.end(),
-              image.begin() + program.dataBase);
+    memory.storeRange(program.dataBase, program.dataInit);
     memory.write(isa::Program::heapPtrCell,
                  static_cast<int32_t>(program.heapBase));
 

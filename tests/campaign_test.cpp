@@ -2,12 +2,17 @@
  * @file
  * Campaign-runner tests: deterministic job ordering, bit-identical
  * parallel vs serial execution (digest, cycles, coverage, reports),
- * detector factories, coverage merge-reduce and error propagation.
+ * detector factories, coverage merge-reduce and error propagation,
+ * plus the recycled per-run memory image: a run must see exactly a
+ * fresh image whatever ran before it, on this thread or another.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/core/campaign.hh"
+#include "src/core/engine.hh"
 #include "src/detect/detector.hh"
 #include "src/minic/compiler.hh"
 #include "src/support/thread_pool.hh"
@@ -168,6 +173,156 @@ TEST(Campaign, OnResultObserverSeesEveryJobOnce)
     ASSERT_EQ(outcome.results.size(), jobs.size());
     for (int n : seen)
         EXPECT_EQ(n, 1);
+}
+
+/** Every field of the bit-identity contract, in full. */
+void
+expectSameRun(const core::RunResult &a, const core::RunResult &b)
+{
+    EXPECT_EQ(a.programCrashed, b.programCrashed);
+    EXPECT_EQ(a.programCrashKind, b.programCrashKind);
+    EXPECT_EQ(a.hitInstructionLimit, b.hitInstructionLimit);
+    EXPECT_EQ(a.aborted, b.aborted);
+    EXPECT_EQ(a.takenInstructions, b.takenInstructions);
+    EXPECT_EQ(a.ntInstructions, b.ntInstructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.ntPathsSpawned, b.ntPathsSpawned);
+    EXPECT_EQ(a.ntPathsSkippedBusy, b.ntPathsSkippedBusy);
+    EXPECT_EQ(a.l2ContentionCycles, b.l2ContentionCycles);
+    EXPECT_EQ(a.coreCycles, b.coreCycles);
+    EXPECT_EQ(a.memoryDigest, b.memoryDigest);
+    EXPECT_EQ(a.io.intOutput, b.io.intOutput);
+    EXPECT_EQ(a.io.charOutput, b.io.charOutput);
+    EXPECT_EQ(a.io.inputPos, b.io.inputPos);
+    EXPECT_EQ(a.coverage.takenWords(), b.coverage.takenWords());
+    EXPECT_EQ(a.coverage.ntWords(), b.coverage.ntWords());
+    ASSERT_EQ(a.ntRecords.size(), b.ntRecords.size());
+    for (size_t i = 0; i < a.ntRecords.size(); ++i) {
+        EXPECT_EQ(a.ntRecords[i].spawnBranchPc, b.ntRecords[i].spawnBranchPc);
+        EXPECT_EQ(a.ntRecords[i].length, b.ntRecords[i].length);
+        EXPECT_EQ(a.ntRecords[i].cause, b.ntRecords[i].cause);
+    }
+    ASSERT_EQ(a.monitor.reports().size(), b.monitor.reports().size());
+    for (size_t i = 0; i < a.monitor.reports().size(); ++i) {
+        EXPECT_EQ(a.monitor.reports()[i].kind, b.monitor.reports()[i].kind);
+        EXPECT_EQ(a.monitor.reports()[i].pc, b.monitor.reports()[i].pc);
+        EXPECT_EQ(a.monitor.reports()[i].addr, b.monitor.reports()[i].addr);
+    }
+}
+
+/**
+ * Dirties pages schedule2 never touches: a large global array and a
+ * scattered heap block, all non-zero, so a leftover page would show in
+ * the next run's memory digest.
+ */
+const char *kScatterSource = R"(
+int big[6000];
+int main() {
+    int i;
+    int *p;
+    for (i = 0; i < 6000; i = i + 1) { big[i] = i * 7 + 1; }
+    p = malloc(40000);
+    for (i = 0; i < 40000; i = i + 97) {
+        if (i % 2 == 0) { p[i] = i + 3; }
+    }
+    print_int(big[5999]);
+    return 0;
+}
+)";
+
+/** Throws from its first store event, after the run has written memory. */
+class ThrowingDetector : public detect::Detector
+{
+  public:
+    const char *name() const override { return "throwing"; }
+    void onMemAccess(const detect::DetectCtx &, uint32_t,
+                     bool isWrite) override
+    {
+        if (isWrite && ++writes == 200)
+            throw std::runtime_error("detector failure");
+    }
+
+  private:
+    int writes = 0;
+};
+
+const core::PeMode kModes[] = {core::PeMode::Off, core::PeMode::Standard,
+                               core::PeMode::Cmp};
+
+TEST(MemoryImageReuse, RunAfterOtherProgramIsBitIdentical)
+{
+    CampaignFixture fx("schedule2");
+    const isa::Program scatter = minic::compile(kScatterSource, "scatter");
+    for (core::PeMode mode : kModes) {
+        SCOPED_TRACE(core::peModeName(mode));
+        core::CampaignJob a = fx.job(mode, 0);
+        detect::WatchChecker watch;
+        core::PathExpanderEngine engineA(fx.program, a.config, &watch);
+        core::PathExpanderEngine engineB(scatter, a.config, nullptr);
+
+        const core::RunResult first = engineA.run(a.input);
+        const core::RunResult other = engineB.run({});
+        EXPECT_NE(other.memoryDigest, first.memoryDigest);
+        const core::RunResult again = engineA.run(a.input);
+        expectSameRun(first, again);
+    }
+}
+
+TEST(MemoryImageReuse, ThrownRunLeavesNoTrace)
+{
+    CampaignFixture fx("schedule2");
+    const isa::Program scatter = minic::compile(kScatterSource, "scatter");
+    for (core::PeMode mode : kModes) {
+        SCOPED_TRACE(core::peModeName(mode));
+        core::CampaignJob a = fx.job(mode, 0);
+        core::PathExpanderEngine engineA(fx.program, a.config, nullptr);
+        const core::RunResult first = engineA.run(a.input);
+
+        ThrowingDetector thrower;
+        core::PathExpanderEngine failing(scatter, a.config, &thrower);
+        EXPECT_THROW(failing.run({}), std::runtime_error);
+
+        expectSameRun(first, engineA.run(a.input));
+    }
+}
+
+TEST(MemoryImageReuse, ConcurrentMixedCampaignMatchesFreshRuns)
+{
+    // Interleaved jobs of two programs over a pool: each worker keeps
+    // taking images another program's run just released.
+    CampaignFixture fx("schedule2");
+    const isa::Program scatter = minic::compile(kScatterSource, "scatter");
+    std::vector<core::CampaignJob> jobs;
+    for (int rep = 0; rep < 3; ++rep) {
+        for (core::PeMode mode : kModes) {
+            jobs.push_back(fx.job(mode, rep));
+            core::CampaignJob b = fx.job(mode, 0);
+            b.program = &scatter;
+            b.input.clear();
+            jobs.push_back(b);
+        }
+    }
+    auto parallel = core::runCampaign(jobs, core::campaignThreads(4));
+    ASSERT_EQ(parallel.results.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        core::PathExpanderEngine engine(*jobs[i].program, jobs[i].config,
+                                        nullptr);
+        expectSameRun(engine.run(jobs[i].input), parallel.results[i]);
+    }
+}
+
+TEST(MemoryDigest, PinnedForSchedule2FirstBenignInput)
+{
+    // Recorded campaign digests fold memoryDigest in, so its value —
+    // not just its run-to-run equality — is part of the contract.
+    CampaignFixture fx("schedule2");
+    for (core::PeMode mode : kModes) {
+        SCOPED_TRACE(core::peModeName(mode));
+        core::CampaignJob a = fx.job(mode, 0);
+        core::PathExpanderEngine engine(fx.program, a.config, nullptr);
+        EXPECT_EQ(engine.run(a.input).memoryDigest, 0xf2ea230b7a6022e5ull);
+    }
 }
 
 TEST(Config, HashDistinguishesConfigs)

@@ -1,16 +1,21 @@
 /**
  * @file
- * Memory-system tests: main memory, versioned buffers (the Vtag
- * model), tree-ordered read resolution, cache hit/miss/LRU behaviour
- * and shared-port contention.
+ * Memory-system tests: main memory (dirty-page digest and reset, the
+ * recycling lease), versioned buffers (the Vtag model), tree-ordered
+ * read resolution, cache hit/miss/LRU behaviour and shared-port
+ * contention.
  */
 
 #include <gtest/gtest.h>
+
+#include <span>
+#include <vector>
 
 #include "src/mem/cache.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/mem/main_memory.hh"
 #include "src/mem/versioned_buffer.hh"
+#include "src/support/rng.hh"
 
 namespace
 {
@@ -26,6 +31,160 @@ TEST(MainMemory, ReadWriteAndBounds)
     m.write(5, -9);
     EXPECT_EQ(m.read(5), -9);
     EXPECT_EQ(m.read(6), 0);
+}
+
+/**
+ * The digest as a plain scan of every word: the four-lane FNV loop
+ * MainMemory::digest() must reproduce bit for bit, kept here verbatim
+ * from before the dirty-page version.
+ */
+uint64_t
+fullScanDigest(std::span<const int32_t> words)
+{
+    constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+    constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+    uint64_t lane[4] = {kFnvOffset, kFnvOffset ^ 1, kFnvOffset ^ 2,
+                        kFnvOffset ^ 3};
+    size_t n = words.size();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        for (int l = 0; l < 4; ++l) {
+            uint64_t chunk =
+                static_cast<uint32_t>(words[i + 2 * l]) |
+                (static_cast<uint64_t>(
+                     static_cast<uint32_t>(words[i + 2 * l + 1]))
+                 << 32);
+            lane[l] = (lane[l] ^ chunk) * kFnvPrime;
+        }
+    }
+    uint64_t digest = kFnvOffset;
+    for (int l = 0; l < 4; ++l)
+        digest = (digest ^ lane[l]) * kFnvPrime;
+    for (; i < n; ++i)
+        digest = (digest ^ static_cast<uint32_t>(words[i])) * kFnvPrime;
+    return digest;
+}
+
+/** Sizes around every boundary digest() folds at. */
+const std::vector<uint32_t> kImageSizes = {
+    1, 7, 8, 9, 1000, MainMemory::pageWords, MainMemory::pageWords + 3,
+    MainMemory::pageWords * 3 + 517, MainMemory::pageWords * 5 + 8,
+    MainMemory::pageWords * 8};
+
+/**
+ * One random mutation through a write path: a checked write, a write
+ * of 0 (often into an already dirty page), a store to the last word,
+ * a bulk range store, or a versioned-buffer commit.
+ */
+void
+mutate(MainMemory &m, pe::Rng &rng)
+{
+    const uint32_t n = m.size();
+    auto value = [&] {
+        return rng.nextBool(0.3)
+                   ? 0
+                   : static_cast<int32_t>(rng.next64());
+    };
+    switch (rng.nextBelow(5)) {
+      case 0:
+        m.write(static_cast<uint32_t>(rng.nextBelow(n)), value());
+        break;
+      case 1:
+        m.write(static_cast<uint32_t>(rng.nextBelow(n)), 0);
+        break;
+      case 2:
+        m.write(n - 1, value());
+        break;
+      case 3: {
+        const uint32_t base = static_cast<uint32_t>(rng.nextBelow(n));
+        std::vector<int32_t> words(
+            rng.nextBelow(std::min<uint64_t>(n - base, 3000) + 1));
+        for (int32_t &w : words)
+            w = value();
+        m.storeRange(base, words);
+        break;
+      }
+      default: {
+        VersionedBuffer buf(1);
+        for (int k = 0; k < 20; ++k)
+            buf.write(static_cast<uint32_t>(rng.nextBelow(n)), value());
+        buf.commitTo(m);
+        break;
+      }
+    }
+}
+
+TEST(MainMemory, DigestMatchesFullScan)
+{
+    for (uint32_t size : kImageSizes) {
+        SCOPED_TRACE("memWords " + std::to_string(size));
+        MainMemory m(size);
+        EXPECT_EQ(m.digest(), fullScanDigest(m.words()));
+        pe::Rng rng(size * 7919ull + 1);
+        for (int op = 0; op < 200; ++op) {
+            mutate(m, rng);
+            ASSERT_EQ(m.digest(), fullScanDigest(m.words()))
+                << "after op " << op;
+        }
+    }
+}
+
+TEST(MainMemory, DigestSeesUnchangedStoresInDirtyPages)
+{
+    // A page re-zeroed by stores stays dirty; the digest must still
+    // equal that of an image that was never written.
+    MainMemory m(MainMemory::pageWords * 4);
+    const uint64_t fresh = m.digest();
+    m.write(MainMemory::pageWords + 5, 42);
+    EXPECT_NE(m.digest(), fresh);
+    m.write(MainMemory::pageWords + 5, 0);
+    EXPECT_EQ(m.digest(), fresh);
+    EXPECT_EQ(m.digest(), fullScanDigest(m.words()));
+}
+
+TEST(MainMemory, ResetRestoresFreshImage)
+{
+    for (uint32_t size : kImageSizes) {
+        SCOPED_TRACE("memWords " + std::to_string(size));
+        MainMemory m(size);
+        pe::Rng rng(size + 17);
+        for (int op = 0; op < 100; ++op)
+            mutate(m, rng);
+        m.reset();
+        for (int32_t w : m.words())
+            ASSERT_EQ(w, 0);
+        EXPECT_EQ(m.digest(), MainMemory(size).digest());
+        // The map was cleared with the pages: later writes are still
+        // tracked.
+        for (int op = 0; op < 50; ++op)
+            mutate(m, rng);
+        EXPECT_EQ(m.digest(), fullScanDigest(m.words()));
+    }
+}
+
+TEST(MemoryLease, HandsBackAZeroedRecycledImage)
+{
+    const uint32_t size = MainMemory::pageWords * 3 + 517;
+    const MainMemory *first;
+    {
+        MemoryLease lease(size);
+        MainMemory &m = *lease;
+        first = &m;
+        m.write(size - 1, 9);
+        m.storeRange(100, std::vector<int32_t>(2000, -1));
+    }
+    MemoryLease again(size);
+    MainMemory &m = *again;
+    EXPECT_EQ(&m, first);       // recycled, not reallocated
+    for (int32_t w : m.words())
+        ASSERT_EQ(w, 0);
+    EXPECT_EQ(m.digest(), MainMemory(size).digest());
+
+    // A second concurrent holder gets its own image.
+    MemoryLease other(size);
+    EXPECT_NE(&*other, &m);
+    MemoryLease smaller(size - 1);
+    EXPECT_EQ((*smaller).size(), size - 1);
 }
 
 TEST(VersionedBuffer, BuffersWrites)
