@@ -30,13 +30,6 @@ fnvMix(uint64_t h, uint64_t v)
 
 } // namespace
 
-PathCoverage::PathCoverage(const analysis::Cfg &cfg,
-                           const analysis::PrimePathSet &set,
-                           const std::vector<uint32_t> &cover)
-{
-    build(cfg, set, cover);
-}
-
 PathCoverage::PathCoverage(const isa::Program &program)
 {
     const analysis::Cfg cfg(program);
@@ -60,15 +53,12 @@ PathCoverage::build(const analysis::Cfg &cfg,
         entryBlock = cfg.blockOf(program.entry);
     bits.assign((pathCount + 63) / 64, 0);
 
-    // Flatten the edge sequences and the per-path decision keys.
-    pathOffsets.assign(1, 0);
+    // Flatten the cover paths' decision keys (cover adjacency), in
+    // cover order.
+    coverIds = cover;
     decisionOffsets.assign(1, 0);
-    startsAt.assign(blocks.size(), {});
-    for (uint32_t id = 0; id < pathCount; ++id) {
-        const analysis::PrimePath &p = set.paths[id];
-        startsAt[p.startBlock].push_back(id);
-        for (uint32_t e : p.edges) {
-            pathEdges.push_back(e);
+    for (uint32_t id : coverIds) {
+        for (uint32_t e : set.paths[id].edges) {
             const analysis::CfgEdge &edge = edges[e];
             if (edge.kind == analysis::EdgeKind::BranchTaken ||
                 edge.kind == analysis::EdgeKind::BranchNotTaken) {
@@ -78,12 +68,9 @@ PathCoverage::build(const analysis::Cfg &cfg,
                 pathDecisions.push_back((pc << 1) | (taken ? 1u : 0u));
             }
         }
-        pathOffsets.push_back(
-            static_cast<uint32_t>(pathEdges.size()));
         decisionOffsets.push_back(
             static_cast<uint32_t>(pathDecisions.size()));
     }
-    coverIds = cover;
 
     // Walker tables: classify each block by its successor edge kinds
     // (the CFG already encodes the interpreter's control rules); only
@@ -142,39 +129,106 @@ PathCoverage::build(const analysis::Cfg &cfg,
             kind = BlockKind::Ret;
         blockKind[id] = kind;
     }
+
+    buildAutomaton(cfg, set);
 }
 
-void
-PathCoverage::visitBlock(uint32_t block, std::vector<Match> &active)
+uint32_t
+PathCoverage::slotEdge(uint32_t block, uint32_t slot) const
 {
-    for (uint32_t id : startsAt[block]) {
-        if (pathOffsets[id + 1] == pathOffsets[id]) {
-            completePath(id);   // one-block path completes on entry
-            continue;
-        }
-        if (active.size() >= kMaxActiveMatches) {
-            statOverflow++;
-            continue;
-        }
-        active.push_back(Match{id, 0});
+    switch (blockKind[block]) {
+      case BlockKind::Cond:
+        if (slot == 0)
+            return succBlock[block] != analysis::noBlock ? succEdge[block]
+                                                         : kNone;
+        return altBlock[block] != analysis::noBlock ? altEdge[block]
+                                                    : kNone;
+      case BlockKind::Jump:
+      case BlockKind::Fall:
+        return slot == 0 && succBlock[block] != analysis::noBlock
+                   ? succEdge[block]
+                   : kNone;
+      case BlockKind::Call:
+        return slot == 0 && retBlock[block] != analysis::noBlock
+                   ? retEdge[block]
+                   : kNone;
+      default:
+        return kNone;
     }
 }
 
 void
-PathCoverage::advance(std::vector<Match> &active, uint32_t edgeId)
+PathCoverage::buildAutomaton(const analysis::Cfg &cfg,
+                             const analysis::PrimePathSet &set)
 {
-    size_t out = 0;
-    for (const Match &m : active) {
-        const uint32_t off = pathOffsets[m.path];
-        if (pathEdges[off + m.pos] != edgeId)
-            continue;
-        if (off + m.pos + 1 == pathOffsets[m.path + 1]) {
-            completePath(m.path);
+    const auto &edges = cfg.edges();
+    rootNext.assign(edges.size(), 0);
+    states.assign(1, State{{0, 0}, kNone, 0});
+    blockPath.assign(cfg.blocks().size(), kNone);
+
+    // The trie, in path-id order straight into the slot table (slot
+    // value 0 = no child yet: the root is never anyone's child).
+    for (uint32_t id = 0; id < pathCount; ++id) {
+        const analysis::PrimePath &p = set.paths[id];
+        if (p.edges.empty()) {
+            blockPath[p.startBlock] = id;
             continue;
         }
-        active[out++] = Match{m.path, m.pos + 1};
+        uint32_t s = 0;
+        for (uint32_t e : p.edges) {
+            const analysis::CfgEdge &edge = edges[e];
+            const uint32_t slot =
+                edge.kind == analysis::EdgeKind::BranchNotTaken ? 1 : 0;
+            pe_assert(slotEdge(edge.from, slot) == e,
+                      "prime path leaves block ", edge.from,
+                      " by an edge the fold walker never takes");
+            uint32_t &child = s == 0 ? rootNext[e] : states[s].next[slot];
+            if (child == 0)
+                child = static_cast<uint32_t>(states.size());
+            s = child;
+            if (s == states.size())
+                states.push_back(State{{0, 0}, kNone, 0});
+        }
+        states[s].path = id;
     }
-    active.resize(out);
+
+    // Breadth-first, carrying each state's block: set each child's
+    // fail target (its longest proper suffix that is a path prefix:
+    // the root, or a state ending on the same edge, so the same slots
+    // apply) and dictionary link, and fill missing slots from the
+    // state's own fail target, which is shallower and so already
+    // complete.
+    struct Pending
+    {
+        uint32_t state;
+        uint32_t block;
+    };
+    std::vector<Pending> queue;
+    std::vector<uint32_t> fail(states.size(), 0);
+    for (uint32_t e = 0; e < rootNext.size(); ++e) {
+        if (rootNext[e] != 0)
+            queue.push_back(Pending{rootNext[e], edges[e].to});
+    }
+    for (size_t qi = 0; qi < queue.size(); ++qi) {
+        const Pending cur = queue[qi];
+        const uint32_t f = fail[cur.state];
+        for (uint32_t slot = 0; slot < 2; ++slot) {
+            const uint32_t e = slotEdge(cur.block, slot);
+            const uint32_t target =
+                e == kNone ? 0
+                           : (f == 0 ? rootNext[e] : states[f].next[slot]);
+            const uint32_t child = states[cur.state].next[slot];
+            if (child == 0) {
+                states[cur.state].next[slot] = target;
+                continue;
+            }
+            fail[child] = target;
+            states[child].dict = states[target].path != kNone
+                                     ? target
+                                     : states[target].dict;
+            queue.push_back(Pending{child, edges[e].to});
+        }
+    }
 }
 
 void
@@ -191,10 +245,10 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
     {
         uint32_t retB;
         uint32_t retE;
-        std::vector<Match> saved;
+        uint32_t saved;
     };
     std::vector<Frame> frames;
-    std::vector<Match> active;
+    uint32_t state = 0;
     uint32_t cur = entryBlock;
     size_t ti = 0;
     bool desync = false;
@@ -205,7 +259,8 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
             desync = true;
             break;
         }
-        visitBlock(cur, active);
+        if (blockPath[cur] != kNone)
+            completePath(blockPath[cur]);
 
         const BlockKind kind = blockKind[cur];
         if (kind == BlockKind::Exit)
@@ -222,7 +277,8 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
             const uint32_t nb = taken ? succBlock[cur] : altBlock[cur];
             if (nb == analysis::noBlock)
                 break;   // fell off the program end
-            advance(active, taken ? succEdge[cur] : altEdge[cur]);
+            state = taken ? step(state, succEdge[cur], 0)
+                          : step(state, altEdge[cur], 1);
             cur = nb;
             continue;
         }
@@ -236,7 +292,7 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
         if (kind == BlockKind::Jump || kind == BlockKind::Fall) {
             if (succBlock[cur] == analysis::noBlock)
                 break;
-            advance(active, succEdge[cur]);
+            state = step(state, succEdge[cur], 0);
             cur = succBlock[cur];
             continue;
         }
@@ -247,24 +303,22 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
                 desync = true;
                 break;
             }
-            frames.push_back(Frame{retBlock[cur], retEdge[cur],
-                                   std::move(active)});
-            active.clear();
+            frames.push_back(Frame{retBlock[cur], retEdge[cur], state});
+            state = 0;
             cur = succBlock[cur];
             continue;
         }
-        // Ret: resume the caller's suspended matches across the
+        // Ret: resume the caller's suspended state across the
         // CallReturn edge (intraprocedural path semantics).
         if (frames.empty()) {
             desync = true;
             break;
         }
-        Frame f = std::move(frames.back());
+        const Frame f = frames.back();
         frames.pop_back();
-        active = std::move(f.saved);
         if (f.retB == analysis::noBlock)
             break;
-        advance(active, f.retE);
+        state = step(f.saved, f.retE, 0);
         cur = f.retB;
     }
     if (desync)
@@ -281,7 +335,6 @@ PathCoverage::merge(const PathCoverage &other)
     statFolded += other.statFolded;
     statTruncated += other.statTruncated;
     statDesync += other.statDesync;
-    statOverflow += other.statOverflow;
 }
 
 void
@@ -328,11 +381,11 @@ PathCoverage::coverAdjacency(const std::vector<uint64_t> &takenWords,
         return word < words.size() && ((words[word] >> (key & 63)) & 1);
     };
     double energy = 0.0;
-    for (uint32_t id : coverIds) {
-        if (completed(id))
+    for (size_t c = 0; c < coverIds.size(); ++c) {
+        if (completed(coverIds[c]))
             continue;
-        const uint32_t lo = decisionOffsets[id];
-        const uint32_t hi = decisionOffsets[id + 1];
+        const uint32_t lo = decisionOffsets[c];
+        const uint32_t hi = decisionOffsets[c + 1];
         if (lo == hi)
             continue;
         uint32_t covered = 0;
@@ -363,7 +416,10 @@ PathCoverage::encodeState(wire::Encoder &enc) const
     enc.u64(statFolded);
     enc.u64(statTruncated);
     enc.u64(statDesync);
-    enc.u64(statOverflow);
+    // Retired match-overflow counter: always 0, kept so explorer
+    // checkpoint v3, fleet wire v4 and fleet checkpoint v2 keep their
+    // byte layouts.
+    enc.u64(0);
     enc.u64vec(bits);
 }
 
@@ -373,7 +429,7 @@ PathCoverage::decodeState(wire::Decoder &dec)
     const uint64_t folded = dec.u64("path folded runs");
     const uint64_t truncatedRuns = dec.u64("path truncated runs");
     const uint64_t desync = dec.u64("path desync runs");
-    const uint64_t overflow = dec.u64("path match overflows");
+    dec.u64("path match overflows");   // retired, see encodeState
     std::vector<uint64_t> saved = dec.u64vec("path words");
     if (saved.size() != bits.size()) {
         throw wire::WireError(wire::WireErrorKind::Mismatch,
@@ -383,7 +439,6 @@ PathCoverage::decodeState(wire::Decoder &dec)
     statFolded = folded;
     statTruncated = truncatedRuns;
     statDesync = desync;
-    statOverflow = overflow;
     bits = std::move(saved);
 }
 

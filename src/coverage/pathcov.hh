@@ -12,18 +12,36 @@
  * Calls use the MiniC convention the CFG already encodes: a Jal
  * pushes a frame and descends into the callee; the matching Jr pops
  * it and lands on the CallReturn edge's target.  Prime paths are
- * intraprocedural, so each frame carries its own set of in-flight
- * path matches — a caller's partial match is suspended across the
- * call and resumes, advanced by the CallReturn edge, when the callee
- * returns.
+ * intraprocedural, so each frame carries its own matching state — a
+ * caller's partial matches are suspended across the call and resume,
+ * advanced by the CallReturn edge, when the callee returns.
  *
- * Matching is a multi-pattern automaton over edge ids: a match
- * (path, pos) means the last pos edges walked equal the path's edge
- * prefix; entering a block starts a match for every path that begins
- * there (a one-block path completes on entry).  Memory is bounded
- * everywhere: completion state is one bit per path, the in-flight
- * match set and the call stack are capped (overflow is counted, the
- * fold degrades by dropping new matches, never by growing).
+ * Matching is an Aho–Corasick automaton over the paths' edge
+ * sequences, built once with the tracker, so the fold does O(1) work
+ * per walked edge however many paths there are.  A state is the
+ * longest suffix of the frame's edge history that is a prefix of
+ * some path.  Every non-root state ends on a known edge, hence at a
+ * known block, and paths leave that block along at most two edges:
+ * taken/not-taken for a conditional branch, otherwise the single
+ * fall-through, jump or CallReturn edge (paths are intraprocedural,
+ * so they never take a Call edge).  The walker already knows which,
+ * so a state is just two next-slots (taken or the only edge = 0,
+ * not-taken = 1), completed by the build so no fail-chain walk
+ * happens at fold time; only the root indexes its transitions by
+ * edge id.  Each state also records the path ending there (if any)
+ * and a dictionary link to the next path-ending state on its fail
+ * chain: 16 bytes per state.  One-block paths are a per-block
+ * id that completes on entry.  A call frame saves one state word:
+ * a call restarts the callee at the root, a return restores the
+ * caller's state before its CallReturn edge.
+ *
+ * The automaton needs no match-set cap.  A frame's state stands for
+ * every path in flight there at once, and no path can be in flight
+ * twice in one frame (that would repeat a block of a simple path),
+ * so the old per-frame cap of 4096 (path, pos) matches was never
+ * reachable under the enumeration's default 4096-path cap.  Memory
+ * is still bounded everywhere: one bit per path of completion state,
+ * a fixed-size automaton, and a capped call stack.
  *
  * Desync policy: traces come from real executions, so the walk should
  * never disagree with the CFG — but crashed runs stop mid-path,
@@ -58,27 +76,15 @@ namespace pe::coverage
 class PathCoverage
 {
   public:
-    /** In-flight (path, pos) matches per call frame, hard cap. */
-    static constexpr uint32_t kMaxActiveMatches = 4096;
-
     /** Call-stack depth cap for the fold walker. */
     static constexpr uint32_t kMaxFoldDepth = 1024;
 
     /**
-     * Build the tracker for @p cfg's program from an enumerated
-     * @p set and its @p cover (ids into set.paths).  Copies every
-     * table it needs; cfg and set may be temporaries.
-     */
-    PathCoverage(const analysis::Cfg &cfg,
-                 const analysis::PrimePathSet &set,
-                 const std::vector<uint32_t> &cover);
-
-    /**
-     * Convenience: build Cfg, enumerate prime paths (default caps)
-     * and compute the cover for @p program in one shot.  This is the
-     * constructor the explorer, the fleet coordinator and the workers
-     * all use, so every party derives the identical path-id space
-     * from the program alone.
+     * Build Cfg, enumerate prime paths (default caps) and compute the
+     * cover for @p program in one shot.  The explorer, the fleet
+     * coordinator and the workers all build the tracker this way, so
+     * every party derives the identical path-id space from the
+     * program alone.
      */
     explicit PathCoverage(const isa::Program &program);
 
@@ -138,7 +144,6 @@ class PathCoverage
     uint64_t foldedRuns() const { return statFolded; }
     uint64_t truncatedRuns() const { return statTruncated; }
     uint64_t desyncRuns() const { return statDesync; }
-    uint64_t overflowedMatches() const { return statOverflow; }
 
     /** Serialize counters + completion words via pe_wire. */
     void encodeState(wire::Encoder &enc) const;
@@ -150,17 +155,42 @@ class PathCoverage
     void decodeState(wire::Decoder &dec);
 
   private:
-    struct Match
+    /** No path / no edge marker in the automaton tables. */
+    static constexpr uint32_t kNone = ~0u;
+
+    /** One automaton state; state 0 is the root (see file comment). */
+    struct State
     {
-        uint32_t path;
-        uint32_t pos;
+        uint32_t next[2];   //!< successor state per out-edge slot
+        uint32_t path;      //!< path id ending here, or kNone
+        uint32_t dict;      //!< next path-ending fail state, or 0
     };
 
     void build(const analysis::Cfg &cfg,
                const analysis::PrimePathSet &set,
                const std::vector<uint32_t> &cover);
-    void visitBlock(uint32_t block, std::vector<Match> &active);
-    void advance(std::vector<Match> &active, uint32_t edgeId);
+    void buildAutomaton(const analysis::Cfg &cfg,
+                        const analysis::PrimePathSet &set);
+
+    /** The edge leaving @p block through @p slot, or kNone. */
+    uint32_t slotEdge(uint32_t block, uint32_t slot) const;
+
+    /**
+     * Walk @p edgeId (leaving through @p slot) from @p state: return
+     * the next state and complete every path ending there.
+     */
+    uint32_t step(uint32_t state, uint32_t edgeId, uint32_t slot)
+    {
+        const uint32_t n =
+            state == 0 ? rootNext[edgeId] : states[state].next[slot];
+        const State &st = states[n];
+        if (st.path != kNone)
+            completePath(st.path);
+        for (uint32_t d = st.dict; d != 0; d = states[d].dict)
+            completePath(states[d].path);
+        return n;
+    }
+
     void completePath(uint32_t pathId)
     {
         bits[pathId >> 6] |= 1ull << (pathId & 63);
@@ -181,12 +211,12 @@ class PathCoverage
     bool setTruncated = false;
     uint32_t entryBlock = analysis::noBlock;
 
-    /** Flattened per-path edge sequences: [offsets[i], offsets[i+1]). */
-    std::vector<uint32_t> pathEdges;
-    std::vector<uint32_t> pathOffsets;
+    /** Automaton: root transitions by edge id, then every state. */
+    std::vector<uint32_t> rootNext;
+    std::vector<State> states;
 
-    /** Path ids starting at each block. */
-    std::vector<std::vector<uint32_t>> startsAt;
+    /** One-block path id per block, or kNone. */
+    std::vector<uint32_t> blockPath;
 
     /** Per-block walker tables (indexed by block id). */
     std::vector<BlockKind> blockKind;
@@ -198,7 +228,10 @@ class PathCoverage
     std::vector<uint32_t> retBlock;     //!< Call: return-landing block
     std::vector<uint32_t> retEdge;      //!< Call: CallReturn edge id
 
-    /** Per-path decision keys ((pc << 1) | taken), flattened. */
+    /**
+     * Cover paths' decision keys ((pc << 1) | taken), flattened in
+     * cover order: [decisionOffsets[c], decisionOffsets[c + 1]).
+     */
     std::vector<uint32_t> pathDecisions;
     std::vector<uint32_t> decisionOffsets;
 
@@ -208,7 +241,6 @@ class PathCoverage
     uint64_t statFolded = 0;
     uint64_t statTruncated = 0;
     uint64_t statDesync = 0;
-    uint64_t statOverflow = 0;
 };
 
 } // namespace pe::coverage

@@ -5,9 +5,10 @@
  * on, enumeration oracles on hand-built CFGs, structural properties
  * (simplicity, maximality, determinism, edge coverage) on compiled
  * workloads, pinned counts for two workloads, truncation behavior,
- * the branch-trace fold, merge semantics (campaign accumulation ==
- * sharded merge, bit-identical), wire round-trips, and the explorer's
- * path-objective checkpoint/resume identity.
+ * the branch-trace fold checked against the match-list reference it
+ * replaced, merge semantics (campaign accumulation == sharded merge,
+ * bit-identical), wire round-trips, and the explorer's path-objective
+ * checkpoint/resume identity and pinned tracker digest.
  */
 
 #include <gtest/gtest.h>
@@ -427,6 +428,372 @@ TEST(PathCoverage, WireStateRoundTripsAndRefusesForeignPrograms)
 }
 
 // ---------------------------------------------------------------------
+// Reference oracle: the per-frame (path, pos) match-list fold the
+// Aho–Corasick automaton replaced, kept here verbatim (tables, walker,
+// desync and clean-exit rules, match-set cap) so the automaton can be
+// checked against it bit-for-bit.  It builds the same path-id space
+// as PathCoverage(program): default enumeration caps.
+
+class ReferenceFold
+{
+  public:
+    static constexpr uint32_t kMaxActiveMatches = 4096;
+    static constexpr uint32_t kMaxFoldDepth = 1024;
+    static constexpr uint64_t kMaxFoldSteps = 1ull << 22;
+
+    explicit ReferenceFold(const isa::Program &program)
+    {
+        const analysis::Cfg cfg(program);
+        const analysis::PrimePathSet set =
+            analysis::enumeratePrimePaths(cfg);
+        const auto &blocks = cfg.blocks();
+        const auto &edges = cfg.edges();
+
+        pathCount = static_cast<uint32_t>(set.paths.size());
+        if (program.entry < program.code.size())
+            entryBlock = cfg.blockOf(program.entry);
+        bits.assign((pathCount + 63) / 64, 0);
+
+        pathOffsets.assign(1, 0);
+        startsAt.assign(blocks.size(), {});
+        for (uint32_t id = 0; id < pathCount; ++id) {
+            const analysis::PrimePath &p = set.paths[id];
+            startsAt[p.startBlock].push_back(id);
+            for (uint32_t e : p.edges)
+                pathEdges.push_back(e);
+            pathOffsets.push_back(
+                static_cast<uint32_t>(pathEdges.size()));
+        }
+
+        const uint32_t nb = static_cast<uint32_t>(blocks.size());
+        blockKind.assign(nb, Kind::Exit);
+        branchPc.assign(nb, 0);
+        succBlock.assign(nb, analysis::noBlock);
+        succEdge.assign(nb, 0);
+        altBlock.assign(nb, analysis::noBlock);
+        altEdge.assign(nb, 0);
+        retBlock.assign(nb, analysis::noBlock);
+        retEdge.assign(nb, 0);
+        for (uint32_t id = 0; id < nb; ++id) {
+            Kind kind = Kind::Exit;
+            for (uint32_t e : blocks[id].succs) {
+                const analysis::CfgEdge &edge = edges[e];
+                switch (edge.kind) {
+                  case analysis::EdgeKind::BranchTaken:
+                    kind = Kind::Cond;
+                    branchPc[id] = blocks[id].lastPc;
+                    succBlock[id] = edge.to;
+                    succEdge[id] = e;
+                    break;
+                  case analysis::EdgeKind::BranchNotTaken:
+                    kind = Kind::Cond;
+                    branchPc[id] = blocks[id].lastPc;
+                    altBlock[id] = edge.to;
+                    altEdge[id] = e;
+                    break;
+                  case analysis::EdgeKind::Jump:
+                    kind = Kind::Jump;
+                    succBlock[id] = edge.to;
+                    succEdge[id] = e;
+                    break;
+                  case analysis::EdgeKind::Call:
+                    kind = Kind::Call;
+                    succBlock[id] = edge.to;
+                    succEdge[id] = e;
+                    break;
+                  case analysis::EdgeKind::CallReturn:
+                    kind = Kind::Call;
+                    retBlock[id] = edge.to;
+                    retEdge[id] = e;
+                    break;
+                  case analysis::EdgeKind::FallThrough:
+                    kind = Kind::Fall;
+                    succBlock[id] = edge.to;
+                    succEdge[id] = e;
+                    break;
+                }
+            }
+            if (blocks[id].succs.empty() &&
+                program.code[blocks[id].lastPc].op == isa::Opcode::Jr)
+                kind = Kind::Ret;
+            blockKind[id] = kind;
+        }
+    }
+
+    void fold(const std::vector<uint32_t> &trace, bool traceTruncated,
+              bool cleanExit)
+    {
+        folded++;
+        if (traceTruncated)
+            truncated++;
+        if (entryBlock == analysis::noBlock)
+            return;
+
+        struct Frame
+        {
+            uint32_t retB;
+            uint32_t retE;
+            std::vector<Match> saved;
+        };
+        std::vector<Frame> frames;
+        std::vector<Match> active;
+        uint32_t cur = entryBlock;
+        size_t ti = 0;
+        bool desynced = false;
+        uint64_t steps = 0;
+
+        for (;;) {
+            if (++steps > kMaxFoldSteps) {
+                desynced = true;
+                break;
+            }
+            visitBlock(cur, active);
+
+            const Kind kind = blockKind[cur];
+            if (kind == Kind::Exit)
+                break;
+            if (kind == Kind::Cond) {
+                if (ti >= trace.size())
+                    break;
+                const uint32_t ev = trace[ti++];
+                if ((ev >> 1) != branchPc[cur]) {
+                    desynced = true;
+                    break;
+                }
+                const bool taken = (ev & 1) != 0;
+                const uint32_t nb = taken ? succBlock[cur] : altBlock[cur];
+                if (nb == analysis::noBlock)
+                    break;
+                advance(active, taken ? succEdge[cur] : altEdge[cur]);
+                cur = nb;
+                continue;
+            }
+            if (!cleanExit && ti == trace.size())
+                break;
+            if (kind == Kind::Jump || kind == Kind::Fall) {
+                if (succBlock[cur] == analysis::noBlock)
+                    break;
+                advance(active, succEdge[cur]);
+                cur = succBlock[cur];
+                continue;
+            }
+            if (kind == Kind::Call) {
+                if (succBlock[cur] == analysis::noBlock)
+                    break;
+                if (frames.size() >= kMaxFoldDepth) {
+                    desynced = true;
+                    break;
+                }
+                frames.push_back(Frame{retBlock[cur], retEdge[cur],
+                                       std::move(active)});
+                active.clear();
+                cur = succBlock[cur];
+                continue;
+            }
+            if (frames.empty()) {
+                desynced = true;
+                break;
+            }
+            Frame f = std::move(frames.back());
+            frames.pop_back();
+            active = std::move(f.saved);
+            if (f.retB == analysis::noBlock)
+                break;
+            advance(active, f.retE);
+            cur = f.retB;
+        }
+        if (desynced)
+            desync++;
+    }
+
+    std::vector<uint64_t> bits;
+    uint64_t folded = 0;
+    uint64_t truncated = 0;
+    uint64_t desync = 0;
+    uint64_t overflow = 0;
+
+  private:
+    struct Match
+    {
+        uint32_t path;
+        uint32_t pos;
+    };
+    enum class Kind : uint8_t { Exit, Cond, Jump, Call, Ret, Fall };
+
+    void complete(uint32_t id) { bits[id >> 6] |= 1ull << (id & 63); }
+
+    void visitBlock(uint32_t block, std::vector<Match> &active)
+    {
+        for (uint32_t id : startsAt[block]) {
+            if (pathOffsets[id + 1] == pathOffsets[id]) {
+                complete(id);
+                continue;
+            }
+            if (active.size() >= kMaxActiveMatches) {
+                overflow++;
+                continue;
+            }
+            active.push_back(Match{id, 0});
+        }
+    }
+
+    void advance(std::vector<Match> &active, uint32_t edgeId)
+    {
+        size_t out = 0;
+        for (const Match &m : active) {
+            const uint32_t off = pathOffsets[m.path];
+            if (pathEdges[off + m.pos] != edgeId)
+                continue;
+            if (off + m.pos + 1 == pathOffsets[m.path + 1]) {
+                complete(m.path);
+                continue;
+            }
+            active[out++] = Match{m.path, m.pos + 1};
+        }
+        active.resize(out);
+    }
+
+    uint32_t pathCount = 0;
+    uint32_t entryBlock = analysis::noBlock;
+    std::vector<uint32_t> pathEdges;
+    std::vector<uint32_t> pathOffsets;
+    std::vector<std::vector<uint32_t>> startsAt;
+    std::vector<Kind> blockKind;
+    std::vector<uint32_t> branchPc;
+    std::vector<uint32_t> succBlock;
+    std::vector<uint32_t> succEdge;
+    std::vector<uint32_t> altBlock;
+    std::vector<uint32_t> altEdge;
+    std::vector<uint32_t> retBlock;
+    std::vector<uint32_t> retEdge;
+};
+
+/**
+ * Fold @p trace through both matchers from empty completion words
+ * (so one run's bits cannot mask another's) and require identical
+ * words and counters.
+ */
+void
+expectFoldsAgree(coverage::PathCoverage &tracker, ReferenceFold &ref,
+                 const std::vector<uint32_t> &trace, bool traceTruncated,
+                 bool cleanExit, const std::string &what)
+{
+    tracker.restoreWords(std::vector<uint64_t>(tracker.words().size()));
+    ref.bits.assign(ref.bits.size(), 0);
+    tracker.fold(trace, traceTruncated, cleanExit);
+    ref.fold(trace, traceTruncated, cleanExit);
+    ASSERT_EQ(tracker.words(), ref.bits) << what;
+    ASSERT_EQ(tracker.foldedRuns(), ref.folded) << what;
+    ASSERT_EQ(tracker.truncatedRuns(), ref.truncated) << what;
+    ASSERT_EQ(tracker.desyncRuns(), ref.desync) << what;
+    // The old match-set cap is unreachable (see pathcov.hh).
+    ASSERT_EQ(ref.overflow, 0u) << what;
+}
+
+TEST(PathCoverageOracle, AutomatonMatchesMatchListOnEveryWorkload)
+{
+    for (const auto &name : workloads::workloadNames()) {
+        const auto &w = workloads::getWorkload(name);
+        auto program = minic::compile(w.source, name);
+        coverage::PathCoverage tracker(program);
+        ReferenceFold ref(program);
+        uint64_t completedBits = 0;
+        for (size_t i = 0; i < w.benignInputs.size(); ++i) {
+            const std::string what =
+                name + " input " + std::to_string(i);
+            const core::RunResult res =
+                runTraced(program, w.benignInputs[i]);
+            expectFoldsAgree(tracker, ref, res.branchTrace,
+                             res.branchTraceTruncated,
+                             res.stopCause == core::RunStopCause::Completed,
+                             what);
+            completedBits += tracker.completedCount();
+            // The same trace as if the run had crashed after its
+            // last branch: no straight-line tail credit.
+            expectFoldsAgree(tracker, ref, res.branchTrace,
+                             res.branchTraceTruncated,
+                             /*cleanExit=*/false, what + " unclean");
+            if (i >= 4)
+                continue;
+            // A tiny recording cap cuts the trace mid-run.
+            const core::RunResult capped =
+                runTraced(program, w.benignInputs[i], /*traceCap=*/7);
+            ASSERT_TRUE(capped.branchTraceTruncated) << what;
+            expectFoldsAgree(tracker, ref, capped.branchTrace, true,
+                             /*cleanExit=*/true, what + " capped");
+            expectFoldsAgree(tracker, ref, capped.branchTrace, true,
+                             /*cleanExit=*/false,
+                             what + " capped unclean");
+        }
+        EXPECT_GT(completedBits, 0u) << name;
+        EXPECT_GT(tracker.truncatedRuns(), 0u) << name;
+    }
+}
+
+TEST(PathCoverageOracle, RecursiveCallFramesAgree)
+{
+    // Recursion inside a loop inside a conditional: every fold pushes
+    // and pops frames through the same function many levels deep, and
+    // the caller's in-flight paths must resume across each return.
+    auto program = minic::compile(R"MC(
+int fib(int n) {
+    if (n < 2) { return n; }
+    int a = fib(n - 1);
+    if (a > 3) { a = a - 1; } else { a = a + 1; }
+    return a + fib(n - 2);
+}
+
+int main() {
+    int n = read_int();
+    int i = 0;
+    int acc = 0;
+    while (i < n) {
+        if (i % 2 == 0) { acc = acc + fib(i); } else { acc = acc - 1; }
+        i = i + 1;
+    }
+    print_int(acc);
+    return 0;
+}
+)MC",
+                                  "recursive");
+    coverage::PathCoverage tracker(program);
+    ReferenceFold ref(program);
+    for (int32_t n : {0, 1, 2, 5, 9, 12}) {
+        const core::RunResult res = runTraced(program, {n});
+        ASSERT_EQ(res.stopCause, core::RunStopCause::Completed);
+        ASSERT_FALSE(res.branchTraceTruncated);
+        expectFoldsAgree(tracker, ref, res.branchTrace, false, true,
+                         "fib " + std::to_string(n));
+        const core::RunResult capped =
+            runTraced(program, {n}, /*traceCap=*/20);
+        expectFoldsAgree(tracker, ref, capped.branchTrace,
+                         capped.branchTraceTruncated, false,
+                         "fib capped " + std::to_string(n));
+    }
+    EXPECT_EQ(tracker.desyncRuns(), 0u);
+    EXPECT_GT(tracker.completedCount(), 0u);
+}
+
+TEST(PathCoverageOracle, CorruptedPcDesyncsIdentically)
+{
+    const auto &w = workloads::getWorkload("schedule2");
+    auto program = minic::compile(w.source, "schedule2");
+    const core::RunResult res = runTraced(program, w.benignInputs[0]);
+    ASSERT_GT(res.branchTrace.size(), 8u);
+
+    coverage::PathCoverage tracker(program);
+    ReferenceFold ref(program);
+    for (size_t at : {size_t{0}, res.branchTrace.size() / 2,
+                      res.branchTrace.size() - 1}) {
+        std::vector<uint32_t> bad = res.branchTrace;
+        bad[at] ^= 2u << 1;   // flip a pc bit, keep the direction
+        expectFoldsAgree(tracker, ref, bad, false, true,
+                         "corrupt at " + std::to_string(at));
+    }
+    EXPECT_EQ(tracker.desyncRuns(), 3u);
+}
+
+// ---------------------------------------------------------------------
 // Explorer integration: the path objective must keep the explorer's
 // checkpoint/resume identity, and a policy-word mismatch must refuse.
 
@@ -505,6 +872,26 @@ TEST(PathObjective, CheckpointResumeIsBitIdentical)
               full.pathTracker()->words());
     EXPECT_EQ(tail.pathTracker()->digest(),
               full.pathTracker()->digest());
+}
+
+TEST(PathObjective, Schedule2TrackerDigestIsPinned)
+{
+    // Recorded with the (path, pos) match-list fold the automaton
+    // replaced.  The fold feeds the scheduler (cover adjacency), so
+    // any drift in completion bits changes the whole session; this
+    // pins the tracker end to end on a fixed-seed exploration.
+    const auto &workload = workloads::getWorkload("schedule2");
+    auto program = minic::compile(workload.source, "schedule2");
+    explore::Explorer e(program, scheduleSeeds(workload),
+                        pathObjectiveOptions(160, /*seed=*/7));
+    EXPECT_EQ(e.run().runs, 160u);
+    const coverage::PathCoverage *tracker = e.pathTracker();
+    ASSERT_NE(tracker, nullptr);
+    EXPECT_EQ(tracker->digest(), 0x0fad7006c1fe50cdull);
+    EXPECT_EQ(tracker->coverCompleted(), 29u);
+    EXPECT_EQ(tracker->completedCount(), 770u);
+    EXPECT_EQ(tracker->foldedRuns(), 160u);
+    EXPECT_EQ(tracker->desyncRuns(), 0u);
 }
 
 TEST(PathObjective, PolicyWordMismatchRefusesTheCheckpoint)
