@@ -15,38 +15,47 @@ namespace pe::analysis
 namespace
 {
 
+constexpr uint32_t kNone = ~0u;
+
 /**
- * A candidate simple path on the worklist: the visited block
- * sequence (for the simplicity test; paths are short, a linear scan
- * beats a set) plus the edge-id sequence that is the path's
- * canonical encoding.
+ * A candidate simple path on the worklist: candidate @c parent
+ * extended by @c edge to @c block (a seed has no parent and no edge).
+ * The path itself is the parent chain; it is only spelled out when it
+ * finalizes.
  */
 struct Candidate
 {
-    std::vector<uint32_t> nodes;
-    std::vector<uint32_t> edges;
+    uint32_t parent;
+    uint32_t edge;
+    uint32_t block;
+    uint32_t len;       ///< edge count
 };
 
-bool
-containsNode(const std::vector<uint32_t> &nodes, uint32_t b)
+/** A finalized path: start block plus a slice of the shared edge pool. */
+struct Final
 {
-    return std::find(nodes.begin(), nodes.end(), b) != nodes.end();
-}
+    uint32_t start;
+    uint32_t offset;
+    uint32_t len;
+};
 
-/** Canonical order: start block, then edge ids, prefixes first. */
-bool
-canonicalLess(const PrimePath &a, const PrimePath &b)
+/**
+ * A node of the subpath trie: the finals starting at one block share
+ * a root, and a node's children are indexed by the same slot rule as
+ * the coverage::PathCoverage automaton (taken or the only edge = 0,
+ * not-taken = 1; child 0 means none, the trie's node 0 is a dummy).
+ */
+struct TrieNode
 {
-    if (a.startBlock != b.startBlock)
-        return a.startBlock < b.startBlock;
-    return std::lexicographical_compare(a.edges.begin(), a.edges.end(),
-                                        b.edges.begin(), b.edges.end());
-}
+    uint32_t child[2];
+    uint32_t edge;      ///< edge that leads here (kNone at a root)
+    uint32_t final;     ///< final ending here, kNone if none
+};
 
-bool
-canonicalEqual(const PrimePath &a, const PrimePath &b)
+uint32_t
+slotOf(const CfgEdge &edge)
 {
-    return a.startBlock == b.startBlock && a.edges == b.edges;
+    return edge.kind == EdgeKind::BranchNotTaken ? 1 : 0;
 }
 
 } // namespace
@@ -91,8 +100,29 @@ enumeratePrimePaths(const Cfg &cfg, const PrimePathOptions &opts)
                    rootList.end());
 
     std::vector<bool> seeded(blocks.size(), false);
-    std::vector<PrimePath> finals;
+    std::vector<Final> finals;
+    std::vector<uint32_t> pool;
     bool budgetHit = false;
+
+    // Simplicity test: stamp[b] == epoch iff block b is on the
+    // candidate being extended.
+    std::vector<uint64_t> stamp(blocks.size(), 0);
+    uint64_t epoch = 0;
+    std::vector<Candidate> work;
+
+    // Spell out candidate @p c (plus @p extra unless kNone) into the
+    // pool, walking the parent chain backwards.
+    auto finalize = [&](uint32_t c, uint32_t front, uint32_t extra) {
+        const uint32_t len = work[c].len + (extra != kNone ? 1 : 0);
+        const uint32_t offset = static_cast<uint32_t>(pool.size());
+        pool.resize(pool.size() + len);
+        uint32_t *out = pool.data() + offset + len;
+        if (extra != kNone)
+            *--out = extra;
+        for (uint32_t i = c; work[i].parent != kNone; i = work[i].parent)
+            *--out = work[i].edge;
+        finals.push_back(Final{front, offset, len});
+    };
 
     for (uint32_t root : rootList) {
         if (root == noBlock || !cfg.reachable()[root])
@@ -126,108 +156,167 @@ enumeratePrimePaths(const Cfg &cfg, const PrimePathOptions &opts)
 
         // FIFO worklist; the vector holds every candidate ever
         // generated, which is exactly what the budget bounds.
-        std::vector<Candidate> work;
+        work.clear();
         for (uint32_t b : subNodes) {
             if (seeded[b])
                 continue;
             seeded[b] = true;
-            work.push_back(Candidate{{b}, {}});
+            work.push_back(Candidate{kNone, kNone, b, 0});
             set.generated++;
         }
 
-        for (size_t qi = 0; qi < work.size() && !budgetHit; ++qi) {
-            // work may reallocate while extending; index, not ref.
+        for (uint32_t qi = 0; qi < work.size() && !budgetHit; ++qi) {
+            // work may reallocate while extending; copy, not ref.
+            const Candidate cur = work[qi];
+            ++epoch;
+            uint32_t front = cur.block;
+            for (uint32_t i = qi; i != kNone; i = work[i].parent) {
+                stamp[work[i].block] = epoch;
+                front = work[i].block;
+            }
             bool extended = false;
-            const uint32_t back = work[qi].nodes.back();
-            const uint32_t front = work[qi].nodes.front();
-            for (uint32_t e : blocks[back].succs) {
+            for (uint32_t e : blocks[cur.block].succs) {
                 const CfgEdge &edge = edges[e];
                 if (edge.kind == EdgeKind::Call)
                     continue;
                 if (edge.to == front) {
                     // Closing the cycle finalizes: the cycle cannot
                     // be extended without repeating an inner node.
-                    PrimePath p;
-                    p.startBlock = front;
-                    p.edges = work[qi].edges;
-                    p.edges.push_back(e);
-                    finals.push_back(std::move(p));
+                    finalize(qi, front, e);
                     extended = true;
                     continue;
                 }
-                if (containsNode(work[qi].nodes, edge.to))
+                if (stamp[edge.to] == epoch)
                     continue;
                 if (set.generated >= maxGenerated) {
                     budgetHit = true;
                     break;
                 }
-                Candidate next = work[qi];
-                next.nodes.push_back(edge.to);
-                next.edges.push_back(e);
-                work.push_back(std::move(next));
+                work.push_back(Candidate{qi, e, edge.to, cur.len + 1});
                 set.generated++;
                 extended = true;
             }
-            if (!extended) {
-                PrimePath p;
-                p.startBlock = front;
-                p.edges = work[qi].edges;
-                finals.push_back(std::move(p));
-            }
+            if (!extended)
+                finalize(qi, front, kNone);
         }
     }
     if (budgetHit)
         set.truncated = true;
 
-    // Canonical order + dedup (overlapping root subgraphs can emit
-    // the same back-extension twice only through seeding races, which
-    // the seeded[] guard prevents, but dedup is cheap insurance).
-    std::sort(finals.begin(), finals.end(), canonicalLess);
-    finals.erase(std::unique(finals.begin(), finals.end(),
-                             canonicalEqual),
-                 finals.end());
+    // Every final goes into a trie rooted at its start block.  The
+    // trie merges duplicates (overlapping root subgraphs can emit the
+    // same back-extension twice only through seeding races, which the
+    // seeded[] guard prevents, but merging them is free) and its
+    // preorder is the canonical order.
+    std::vector<TrieNode> trie(1, TrieNode{{0, 0}, kNone, kNone});
+    std::vector<uint32_t> rootOf(blocks.size(), 0);
+    std::vector<uint32_t> terminals;    // trie nodes where finals end
+    for (uint32_t fi = 0; fi < finals.size(); ++fi) {
+        const Final &f = finals[fi];
+        uint32_t &root = rootOf[f.start];
+        if (root == 0) {
+            root = static_cast<uint32_t>(trie.size());
+            trie.push_back(TrieNode{{0, 0}, kNone, kNone});
+        }
+        uint32_t node = root;
+        for (uint32_t k = 0; k < f.len; ++k) {
+            const uint32_t e = pool[f.offset + k];
+            const uint32_t slot = slotOf(edges[e]);
+            uint32_t child = trie[node].child[slot];
+            if (child == 0) {
+                child = static_cast<uint32_t>(trie.size());
+                trie[node].child[slot] = child;
+                trie.push_back(TrieNode{{0, 0}, e, kNone});
+            }
+            pe_assert(trie[child].edge == e, "block ", edges[e].from,
+                      " has two intraprocedural edges in one slot");
+            node = child;
+        }
+        if (trie[node].final == kNone) {
+            trie[node].final = fi;
+            terminals.push_back(node);
+        }
+    }
 
     // Prime filter: drop finals whose edge sequence appears
-    // contiguously inside a longer final (a single-block path is a
+    // contiguously inside another final (a single-block path is a
     // subpath of anything visiting its block with at least one edge).
-    // Indexed by start node so each final only scans plausible hosts.
-    std::vector<std::vector<uint32_t>> startsAt(blocks.size());
-    for (uint32_t i = 0; i < finals.size(); ++i)
-        startsAt[finals[i].startBlock].push_back(i);
-
-    std::vector<bool> killed(finals.size(), false);
-    for (uint32_t qi = 0; qi < finals.size(); ++qi) {
-        const PrimePath &q = finals[qi];
-        const std::vector<uint32_t> qNodes = primePathBlocks(cfg, q);
-        for (size_t off = 0; off < qNodes.size(); ++off) {
-            for (uint32_t pi : startsAt[qNodes[off]]) {
-                if (pi == qi || killed[pi])
-                    continue;
-                const PrimePath &p = finals[pi];
-                if (off + p.edges.size() > q.edges.size())
-                    continue;
-                // Proper subpath: strictly shorter, or a strict
-                // suffix/infix of equal-length never happens (equal
-                // length at off 0 is identity, deduped above).
-                if (off == 0 && p.edges.size() == q.edges.size())
-                    continue;
-                if (std::equal(p.edges.begin(), p.edges.end(),
-                               q.edges.begin() +
-                                   static_cast<long>(off)))
-                    killed[pi] = true;
+    // For a host and every offset into it, walking the trie from the
+    // block at that offset along the host's remaining edges passes
+    // exactly the finals occurring there, each a proper subpath
+    // unless it is the host itself.  A host already killed is
+    // skipped: the host that killed it has walked and contains all it
+    // would drop.  Going longest first makes that skip the common
+    // case; the result does not depend on the order.
+    std::sort(terminals.begin(), terminals.end(),
+              [&](uint32_t a, uint32_t b) {
+                  return finals[trie[a].final].len >
+                         finals[trie[b].final].len;
+              });
+    std::vector<bool> killed(trie.size(), false);
+    for (uint32_t host : terminals) {
+        if (killed[host])
+            continue;
+        const Final &q = finals[trie[host].final];
+        const uint32_t *qEdges = pool.data() + q.offset;
+        uint32_t at = q.start;  // block at offset off
+        for (uint32_t off = 0; off <= q.len; ++off) {
+            if (off > 0)
+                at = edges[qEdges[off - 1]].to;
+            uint32_t node = rootOf[at];
+            for (uint32_t k = off; node != 0; ++k) {
+                if (trie[node].final != kNone && node != host)
+                    killed[node] = true;
+                if (k == q.len)
+                    break;
+                const uint32_t e = qEdges[k];
+                const uint32_t child = trie[node].child[slotOf(edges[e])];
+                node = child != 0 && trie[child].edge == e ? child : 0;
             }
         }
     }
 
-    for (uint32_t i = 0; i < finals.size(); ++i) {
-        if (!killed[i])
-            set.paths.push_back(std::move(finals[i]));
+    // Spell out the survivors in canonical order, at most maxPaths of
+    // them: preorder over the roots by block, children by edge id.
+    struct Visit
+    {
+        uint32_t node;
+        uint32_t depth;     ///< edges from the root
+    };
+    std::vector<Visit> stack;
+    std::vector<uint32_t> path;
+    size_t kept = 0;
+    bool capHit = false;
+    for (uint32_t b = 0; b < blocks.size() && !capHit; ++b) {
+        if (rootOf[b] != 0)
+            stack.push_back(Visit{rootOf[b], 0});
+        while (!stack.empty()) {
+            const Visit v = stack.back();
+            stack.pop_back();
+            const TrieNode &n = trie[v.node];
+            path.resize(v.depth);
+            if (v.depth > 0)
+                path.back() = n.edge;
+            if (n.final != kNone && !killed[v.node]) {
+                if (kept++ == opts.maxPaths) {
+                    capHit = true;
+                    break;
+                }
+                set.paths.push_back(PrimePath{b, path});
+            }
+            // Push the higher edge id first so the lower pops first.
+            uint32_t c0 = n.child[0];
+            uint32_t c1 = n.child[1];
+            if (c0 != 0 && c1 != 0 && trie[c0].edge < trie[c1].edge)
+                std::swap(c0, c1);
+            for (uint32_t c : {c0, c1}) {
+                if (c != 0)
+                    stack.push_back(Visit{c, v.depth + 1});
+            }
+        }
     }
-
-    if (set.paths.size() > opts.maxPaths) {
-        set.paths.resize(opts.maxPaths);
+    if (capHit)
         set.truncated = true;
-    }
     if (set.truncated) {
         warn("prime-path enumeration truncated: kept ",
              set.paths.size(), " path(s) (cap ", opts.maxPaths,
@@ -253,30 +342,51 @@ computePathCover(const Cfg &cfg, const PrimePathSet &set)
             }
         }
     }
+    auto gainOf = [&](uint32_t id) {
+        size_t gain = 0;
+        for (uint32_t e : set.paths[id].edges) {
+            if (!covered[e])
+                gain++;
+        }
+        return gain;
+    };
+
+    // Lazy greedy: a max-heap of (gain, id) whose gains are upper
+    // bounds, since covering an edge only lowers gains.  A popped
+    // entry whose gain is still current beats every other entry's
+    // bound, and the heap pops the lowest id among equal gains, so
+    // the picks equal a full rescan's.  Stale entries go back
+    // re-scored; zero-gain ones are dropped.
+    struct Entry
+    {
+        size_t gain;
+        uint32_t id;
+    };
+    auto lower = [](const Entry &a, const Entry &b) {
+        return a.gain != b.gain ? a.gain < b.gain : a.id > b.id;
+    };
+    std::vector<Entry> heap;
+    for (uint32_t id = 0; id < set.paths.size(); ++id) {
+        if (const size_t gain = gainOf(id); gain > 0)
+            heap.push_back(Entry{gain, id});
+    }
+    std::make_heap(heap.begin(), heap.end(), lower);
 
     std::vector<uint32_t> cover;
-    std::vector<bool> used(set.paths.size(), false);
-    while (uncovered > 0) {
-        uint32_t best = noBlock;
-        size_t bestGain = 0;
-        for (uint32_t i = 0; i < set.paths.size(); ++i) {
-            if (used[i])
-                continue;
-            size_t gain = 0;
-            for (uint32_t e : set.paths[i].edges) {
-                if (!covered[e])
-                    gain++;
+    while (uncovered > 0 && !heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), lower);
+        const Entry top = heap.back();
+        heap.pop_back();
+        const size_t gain = gainOf(top.id);
+        if (gain < top.gain) {
+            if (gain > 0) {
+                heap.push_back(Entry{gain, top.id});
+                std::push_heap(heap.begin(), heap.end(), lower);
             }
-            if (gain > bestGain) {
-                bestGain = gain;
-                best = i;
-            }
+            continue;
         }
-        if (best == noBlock)
-            break;   // unreachable: every uncovered edge has a path
-        used[best] = true;
-        cover.push_back(best);
-        for (uint32_t e : set.paths[best].edges) {
+        cover.push_back(top.id);
+        for (uint32_t e : set.paths[top.id].edges) {
             if (!covered[e]) {
                 covered[e] = true;
                 uncovered--;

@@ -33,12 +33,35 @@
  * successor edge that keeps it simple (a successor equal to the
  * path's first block closes a cycle and finalizes), finalize paths
  * with no extension, then discard finals that are proper subpaths of
- * another final.  Path explosion is bounded by a hard cap: when the
- * generated-path budget is exhausted the enumeration stops, keeps
- * what it has, reports the truncation through PrimePathSet::truncated
- * and a warn() log line, and every consumer (pelint, the explorer's
- * tracker) carries the flag so a truncated metric is never mistaken
- * for a complete one.
+ * another final.  Three choices keep it cheap and bounded:
+ *
+ *  - The worklist is a FIFO of parent-pointer records (parent,
+ *    edge, block, length), not copies of the path: extending a
+ *    candidate appends one record.  The simplicity test stamps the
+ *    candidate's blocks by walking its parent chain once, and a path
+ *    is spelled out only when it finalizes.
+ *
+ *  - The subpath filter is one trie over the finals, rooted per start
+ *    block, whose children use the same two slots as the runtime
+ *    automaton (taken or the only edge, not-taken).  The trie merges
+ *    duplicate finals, and its preorder (roots by block, children by
+ *    edge id) is the canonical order, so the path list needs no
+ *    sort.  For a final and each offset into it, walking the trie
+ *    from the block at that offset along the final's remaining edges
+ *    passes exactly the finals that occur there; all but the final
+ *    itself are proper subpaths and are dropped.  A final already
+ *    dropped skips its walk (the final that dropped it has walked and
+ *    contains all it would drop); walking longest first makes that
+ *    the common case.  This is exact containment, so it holds under
+ *    truncation too.
+ *
+ *  - Path explosion is bounded by two caps (PrimePathOptions).  When
+ *    the generated-path budget runs out, enumeration stops and
+ *    filters what it has; when more than maxPaths survive, the tail
+ *    is cut.  Either sets PrimePathSet::truncated and logs a warn(),
+ *    and every consumer (pelint, the explorer's tracker) carries the
+ *    flag so a truncated metric is never mistaken for a complete one.
+ *    See PrimePathSet::truncated for what a truncated set guarantees.
  *
  * The *minimum path cover* is the Empc-style small target set: the
  * fewest prime paths whose union touches every CFG edge that appears
@@ -50,6 +73,13 @@
  * covering the most uncovered edges, lowest path id on ties), which
  * is the standard ln(n)-factor bound and, at the sizes the cap
  * allows, indistinguishable from optimal for scheduling purposes.
+ * It runs as a lazy greedy: a max-heap of (gain, id) entries, lowest
+ * id first among equal gains.  Covering edges only lowers gains, so
+ * every stored gain bounds its path's current gain; a popped entry
+ * whose gain is still current is therefore a maximum, and the lowest
+ * id among the maxima (any tied path has the same stored gain and a
+ * higher id, or it would have popped first).  A stale entry goes back
+ * re-scored.  The picks equal a full rescan's, in the same order.
  */
 
 #ifndef PE_ANALYSIS_PRIMEPATHS_HH
@@ -98,7 +128,14 @@ struct PrimePathSet
      */
     std::vector<PrimePath> paths;
 
-    /** Enumeration hit a cap; paths is a prefix of the truth. */
+    /**
+     * Enumeration hit a cap.  Kept paths are then still simple, and
+     * all but at most one (the candidate whose extension exhausted
+     * the generated budget) cannot be extended at their end, but they
+     * need not be prime: a longer path that was never generated
+     * cannot drop its subpaths.  Only when the budget held and just
+     * maxPaths cut the list is paths a prefix of the untruncated one.
+     */
     bool truncated = false;
 
     /** Candidate simple paths materialized (diagnostic). */

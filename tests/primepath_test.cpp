@@ -4,7 +4,9 @@
  * tracking: the Cfg successor-order pin the whole path-id space rests
  * on, enumeration oracles on hand-built CFGs, structural properties
  * (simplicity, maximality, determinism, edge coverage) on compiled
- * workloads, pinned counts for two workloads, truncation behavior,
+ * workloads, pinned counts and path-list digests for every workload,
+ * what truncation does and does not guarantee, enumeration and cover
+ * checked against the implementation they replaced across a cap grid,
  * the branch-trace fold checked against the match-list reference it
  * replaced, merge semantics (campaign accumulation == sharded merge,
  * bit-identical), wire round-trips, and the explorer's path-objective
@@ -14,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -61,6 +65,269 @@ blockSeq(const analysis::Cfg &cfg, const analysis::PrimePath &path)
 {
     return analysis::primePathBlocks(cfg, path);
 }
+
+/**
+ * FNV-1a over the canonical path list: the path count, then each
+ * path's start block, edge count and edge ids.  Any change to the
+ * path-id space (order, membership, encoding) moves it.
+ */
+uint64_t
+pathListDigest(const analysis::PrimePathSet &set)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    mix(set.paths.size());
+    for (const auto &p : set.paths) {
+        mix(p.startBlock);
+        mix(p.edges.size());
+        for (uint32_t e : p.edges)
+            mix(e);
+    }
+    return h;
+}
+
+// ---------------------------------------------------------------------
+// Reference oracle: the enumeration (vector-copying worklist,
+// startsAt x std::equal prime filter) and the full-rescan greedy cover
+// that the parent-pointer worklist, the subpath trie and the lazy
+// greedy replaced, kept here verbatim so the rewrite can be checked
+// against them field for field.
+
+namespace reference
+{
+
+using namespace pe::analysis;
+
+struct Candidate
+{
+    std::vector<uint32_t> nodes;
+    std::vector<uint32_t> edges;
+};
+
+bool
+containsNode(const std::vector<uint32_t> &nodes, uint32_t b)
+{
+    return std::find(nodes.begin(), nodes.end(), b) != nodes.end();
+}
+
+bool
+canonicalLess(const PrimePath &a, const PrimePath &b)
+{
+    if (a.startBlock != b.startBlock)
+        return a.startBlock < b.startBlock;
+    return std::lexicographical_compare(a.edges.begin(), a.edges.end(),
+                                        b.edges.begin(), b.edges.end());
+}
+
+bool
+canonicalEqual(const PrimePath &a, const PrimePath &b)
+{
+    return a.startBlock == b.startBlock && a.edges == b.edges;
+}
+
+PrimePathSet
+enumeratePrimePaths(const Cfg &cfg, const PrimePathOptions &opts)
+{
+    PrimePathSet set;
+    const auto &blocks = cfg.blocks();
+    const auto &edges = cfg.edges();
+    if (blocks.empty())
+        return set;
+
+    const uint64_t maxGenerated =
+        opts.maxGenerated != 0 ? opts.maxGenerated
+                               : 32ull * opts.maxPaths;
+
+    std::vector<uint32_t> rootList;
+    const isa::Program &program = cfg.program();
+    if (program.entry < program.code.size())
+        rootList.push_back(cfg.blockOf(program.entry));
+    for (const auto &f : program.funcs) {
+        if (f.startPc < program.code.size())
+            rootList.push_back(cfg.blockOf(f.startPc));
+    }
+    std::sort(rootList.begin(), rootList.end());
+    rootList.erase(std::unique(rootList.begin(), rootList.end()),
+                   rootList.end());
+
+    std::vector<bool> seeded(blocks.size(), false);
+    std::vector<PrimePath> finals;
+    bool budgetHit = false;
+
+    for (uint32_t root : rootList) {
+        if (root == noBlock || !cfg.reachable()[root])
+            continue;
+        if (budgetHit)
+            break;
+
+        std::vector<uint32_t> subNodes;
+        {
+            std::vector<bool> inSub(blocks.size(), false);
+            std::vector<uint32_t> stack{root};
+            inSub[root] = true;
+            while (!stack.empty()) {
+                uint32_t b = stack.back();
+                stack.pop_back();
+                subNodes.push_back(b);
+                for (uint32_t e : blocks[b].succs) {
+                    const CfgEdge &edge = edges[e];
+                    if (edge.kind == EdgeKind::Call)
+                        continue;
+                    if (!inSub[edge.to]) {
+                        inSub[edge.to] = true;
+                        stack.push_back(edge.to);
+                    }
+                }
+            }
+        }
+        std::sort(subNodes.begin(), subNodes.end());
+        set.roots++;
+
+        std::vector<Candidate> work;
+        for (uint32_t b : subNodes) {
+            if (seeded[b])
+                continue;
+            seeded[b] = true;
+            work.push_back(Candidate{{b}, {}});
+            set.generated++;
+        }
+
+        for (size_t qi = 0; qi < work.size() && !budgetHit; ++qi) {
+            bool extended = false;
+            const uint32_t back = work[qi].nodes.back();
+            const uint32_t front = work[qi].nodes.front();
+            for (uint32_t e : blocks[back].succs) {
+                const CfgEdge &edge = edges[e];
+                if (edge.kind == EdgeKind::Call)
+                    continue;
+                if (edge.to == front) {
+                    PrimePath p;
+                    p.startBlock = front;
+                    p.edges = work[qi].edges;
+                    p.edges.push_back(e);
+                    finals.push_back(std::move(p));
+                    extended = true;
+                    continue;
+                }
+                if (containsNode(work[qi].nodes, edge.to))
+                    continue;
+                if (set.generated >= maxGenerated) {
+                    budgetHit = true;
+                    break;
+                }
+                Candidate next = work[qi];
+                next.nodes.push_back(edge.to);
+                next.edges.push_back(e);
+                work.push_back(std::move(next));
+                set.generated++;
+                extended = true;
+            }
+            if (!extended) {
+                PrimePath p;
+                p.startBlock = front;
+                p.edges = work[qi].edges;
+                finals.push_back(std::move(p));
+            }
+        }
+    }
+    if (budgetHit)
+        set.truncated = true;
+
+    std::sort(finals.begin(), finals.end(), canonicalLess);
+    finals.erase(std::unique(finals.begin(), finals.end(),
+                             canonicalEqual),
+                 finals.end());
+
+    std::vector<std::vector<uint32_t>> startsAt(blocks.size());
+    for (uint32_t i = 0; i < finals.size(); ++i)
+        startsAt[finals[i].startBlock].push_back(i);
+
+    std::vector<bool> killed(finals.size(), false);
+    for (uint32_t qi = 0; qi < finals.size(); ++qi) {
+        const PrimePath &q = finals[qi];
+        const std::vector<uint32_t> qNodes = primePathBlocks(cfg, q);
+        for (size_t off = 0; off < qNodes.size(); ++off) {
+            for (uint32_t pi : startsAt[qNodes[off]]) {
+                if (pi == qi || killed[pi])
+                    continue;
+                const PrimePath &p = finals[pi];
+                if (off + p.edges.size() > q.edges.size())
+                    continue;
+                if (off == 0 && p.edges.size() == q.edges.size())
+                    continue;
+                if (std::equal(p.edges.begin(), p.edges.end(),
+                               q.edges.begin() +
+                                   static_cast<long>(off)))
+                    killed[pi] = true;
+            }
+        }
+    }
+
+    for (uint32_t i = 0; i < finals.size(); ++i) {
+        if (!killed[i])
+            set.paths.push_back(std::move(finals[i]));
+    }
+
+    if (set.paths.size() > opts.maxPaths) {
+        set.paths.resize(opts.maxPaths);
+        set.truncated = true;
+    }
+    return set;
+}
+
+std::vector<uint32_t>
+computePathCover(const Cfg &cfg, const PrimePathSet &set)
+{
+    const size_t numEdges = cfg.edges().size();
+    std::vector<bool> covered(numEdges, true);
+    size_t uncovered = 0;
+    for (const PrimePath &p : set.paths) {
+        for (uint32_t e : p.edges) {
+            if (covered[e]) {
+                covered[e] = false;
+                uncovered++;
+            }
+        }
+    }
+
+    std::vector<uint32_t> cover;
+    std::vector<bool> used(set.paths.size(), false);
+    while (uncovered > 0) {
+        uint32_t best = noBlock;
+        size_t bestGain = 0;
+        for (uint32_t i = 0; i < set.paths.size(); ++i) {
+            if (used[i])
+                continue;
+            size_t gain = 0;
+            for (uint32_t e : set.paths[i].edges) {
+                if (!covered[e])
+                    gain++;
+            }
+            if (gain > bestGain) {
+                bestGain = gain;
+                best = i;
+            }
+        }
+        if (best == noBlock)
+            break;
+        used[best] = true;
+        cover.push_back(best);
+        for (uint32_t e : set.paths[best].edges) {
+            if (!covered[e]) {
+                covered[e] = true;
+                uncovered--;
+            }
+        }
+    }
+    return cover;
+}
+
+} // namespace reference
 
 // ---------------------------------------------------------------------
 // The successor-order pin.  Prime-path ids are only stable across
@@ -239,46 +506,213 @@ TEST(PrimePaths, WorkloadCountsArePinned)
 {
     // Regression pins: these move only when the enumeration, the
     // canonical order, the greedy cover or the compiler changes — all
-    // of which invalidate persisted path-id spaces and must be loud.
+    // of which invalidate persisted path-id spaces (checkpoints, fleet
+    // merges) and must be loud.  Every registered workload is pinned,
+    // the five that truncate at the default caps included: a truncated
+    // path-id space is just as persisted as a complete one.
     struct Pin
     {
         const char *name;
         size_t paths;
         size_t cover;
+        uint64_t generated;
+        bool truncated;
+        uint64_t digest;
     };
     const Pin pins[] = {
-        {"schedule", 3392, 52},
-        {"schedule2", 3994, 58},
+        {"pe_go", 1617, 14, 131072, true, 0xa6ba4bdc2495a8bbull},
+        {"pe_bc", 4096, 50, 59663, true, 0xfe8246cd55020e47ull},
+        {"pe_man", 4096, 46, 131072, true, 0x6538829bba2b2805ull},
+        {"print_tokens", 634, 67, 7482, false, 0x9d3f9653a8451a20ull},
+        {"print_tokens2", 1682, 44, 131072, true, 0x47126830ee0c5ccaull},
+        {"schedule", 3392, 52, 29629, false, 0xed6e1a9ad36c47f0ull},
+        {"schedule2", 3994, 58, 34820, false, 0x00bee8738fe067d9ull},
+        {"pe_gzip", 1625, 39, 10297, false, 0x366822dedf945f44ull},
+        {"pe_vpr", 4096, 40, 114920, true, 0xacbc0de7a9687f4dull},
+        {"pe_parser", 3362, 57, 45237, false, 0x4171698debc76d57ull},
     };
+    ASSERT_EQ(std::size(pins), workloads::workloadNames().size());
     for (const auto &pin : pins) {
         const auto &w = workloads::getWorkload(pin.name);
         auto program = minic::compile(w.source, pin.name);
         analysis::Cfg cfg(program);
         auto set = analysis::enumeratePrimePaths(cfg);
+        const size_t cover = analysis::computePathCover(cfg, set).size();
         EXPECT_EQ(set.paths.size(), pin.paths) << pin.name;
-        EXPECT_FALSE(set.truncated) << pin.name;
-        EXPECT_EQ(analysis::computePathCover(cfg, set).size(),
-                  pin.cover)
-            << pin.name;
+        EXPECT_EQ(cover, pin.cover) << pin.name;
+        EXPECT_EQ(set.generated, pin.generated) << pin.name;
+        EXPECT_EQ(set.truncated, pin.truncated) << pin.name;
+        EXPECT_EQ(pathListDigest(set), pin.digest) << pin.name;
     }
 }
 
-TEST(PrimePaths, CapTruncatesLoudlyAndKeepsAPrefix)
+/**
+ * True when @p path can be extended by one edge at its end and stay
+ * simple: it is not a cycle and some intraprocedural successor of its
+ * last block is a block it has not visited, or its first block.
+ */
+bool
+extendableAtEnd(const analysis::Cfg &cfg, const analysis::PrimePath &path)
 {
+    const auto blocks = blockSeq(cfg, path);
+    if (blocks.size() > 1 && blocks.front() == blocks.back())
+        return false;
+    for (uint32_t e : cfg.blocks()[blocks.back()].succs) {
+        const auto &edge = cfg.edges()[e];
+        if (edge.kind == analysis::EdgeKind::Call)
+            continue;
+        if (edge.to == blocks.front() ||
+            std::find(blocks.begin(), blocks.end(), edge.to) ==
+                blocks.end())
+            return true;
+    }
+    return false;
+}
+
+TEST(PrimePaths, CapTruncatesLoudlyAndKeepsSimpleUnextendablePaths)
+{
+    // What a truncated set does guarantee: the flag is set, every kept
+    // path is simple, and every kept path but at most one (the
+    // candidate whose extension exhausted the generated budget) cannot
+    // be extended at its end.  It does not guarantee primality: hosts
+    // that were never generated cannot kill their subpaths.
     const auto &w = workloads::getWorkload("schedule");
     auto program = minic::compile(w.source, "schedule");
     analysis::Cfg cfg(program);
+    const auto full = analysis::enumeratePrimePaths(cfg);
+    ASSERT_FALSE(full.truncated);
+    std::set<std::pair<uint32_t, std::vector<uint32_t>>> truth;
+    for (const auto &p : full.paths)
+        truth.emplace(p.startBlock, p.edges);
 
+    struct Cap
+    {
+        uint32_t maxPaths;
+        uint64_t maxGenerated;
+        bool somePathNotPrime;
+    };
+    for (const Cap &cap : {Cap{1, 0, false}, Cap{100, 0, true},
+                           Cap{4096, 20000, true}, Cap{4096, 10, true}}) {
+        analysis::PrimePathOptions opts;
+        opts.maxPaths = cap.maxPaths;
+        opts.maxGenerated = cap.maxGenerated;
+        const auto capped = analysis::enumeratePrimePaths(cfg, opts);
+        const std::string what = "maxPaths=" +
+                                 std::to_string(cap.maxPaths) +
+                                 " maxGenerated=" +
+                                 std::to_string(cap.maxGenerated);
+        EXPECT_TRUE(capped.truncated) << what;
+        EXPECT_LE(capped.paths.size(), cap.maxPaths) << what;
+        ASSERT_FALSE(capped.paths.empty()) << what;
+
+        size_t extendable = 0;
+        size_t notPrime = 0;
+        for (const auto &p : capped.paths) {
+            const auto blocks = blockSeq(cfg, p);
+            std::set<uint32_t> seen(blocks.begin(), blocks.end());
+            const bool cycle =
+                blocks.size() > 1 && blocks.front() == blocks.back();
+            EXPECT_EQ(seen.size(), blocks.size() - (cycle ? 1 : 0))
+                << what;
+            extendable += extendableAtEnd(cfg, p) ? 1 : 0;
+            notPrime += truth.count({p.startBlock, p.edges}) ? 0 : 1;
+        }
+        EXPECT_LE(extendable, 1u) << what;
+        EXPECT_EQ(notPrime > 0, cap.somePathNotPrime) << what;
+
+        // The cover of a truncated set still only picks kept ids.
+        for (uint32_t id : analysis::computePathCover(cfg, capped))
+            EXPECT_LT(id, capped.paths.size()) << what;
+    }
+
+    // With a budget that never runs out, only the kept-path cap fires,
+    // and then the kept paths are the head of the untruncated list.
     analysis::PrimePathOptions opts;
-    opts.maxPaths = 1;
-    auto capped = analysis::enumeratePrimePaths(cfg, opts);
-    EXPECT_TRUE(capped.truncated);
-    EXPECT_LE(capped.paths.size(), 1u);
+    opts.maxPaths = 100;
+    opts.maxGenerated = 1u << 22;
+    const auto head = analysis::enumeratePrimePaths(cfg, opts);
+    EXPECT_TRUE(head.truncated);
+    ASSERT_EQ(head.paths.size(), 100u);
+    for (size_t i = 0; i < head.paths.size(); ++i) {
+        EXPECT_EQ(head.paths[i].startBlock, full.paths[i].startBlock);
+        EXPECT_EQ(head.paths[i].edges, full.paths[i].edges);
+    }
+}
 
-    // The cover of a truncated set still only picks kept ids.
-    auto cover = analysis::computePathCover(cfg, capped);
-    for (uint32_t id : cover)
-        EXPECT_LT(id, capped.paths.size());
+// ---------------------------------------------------------------------
+// The rewrite against the reference oracle: identical PrimePathSet
+// fields and cover ids, in order, across a grid of caps.
+
+void
+expectMatchesReference(const analysis::Cfg &cfg,
+                       const analysis::PrimePathOptions &opts,
+                       const std::string &what)
+{
+    const auto got = analysis::enumeratePrimePaths(cfg, opts);
+    const auto want = reference::enumeratePrimePaths(cfg, opts);
+    ASSERT_EQ(got.paths.size(), want.paths.size()) << what;
+    for (size_t i = 0; i < got.paths.size(); ++i) {
+        ASSERT_EQ(got.paths[i].startBlock, want.paths[i].startBlock)
+            << what << " path " << i;
+        ASSERT_EQ(got.paths[i].edges, want.paths[i].edges)
+            << what << " path " << i;
+    }
+    EXPECT_EQ(got.truncated, want.truncated) << what;
+    EXPECT_EQ(got.generated, want.generated) << what;
+    EXPECT_EQ(got.roots, want.roots) << what;
+    EXPECT_EQ(analysis::computePathCover(cfg, got),
+              reference::computePathCover(cfg, want))
+        << what;
+}
+
+/** Default caps, then each cap of PrimePathOptions swept alone. */
+std::vector<analysis::PrimePathOptions>
+capGrid()
+{
+    std::vector<analysis::PrimePathOptions> grid(1);
+    for (uint32_t maxPaths : {1u, 7u, 100u, 1000u}) {
+        analysis::PrimePathOptions opts;
+        opts.maxPaths = maxPaths;
+        grid.push_back(opts);
+    }
+    for (uint64_t maxGenerated : {10u, 500u, 5000u, 20000u}) {
+        analysis::PrimePathOptions opts;
+        opts.maxGenerated = maxGenerated;
+        grid.push_back(opts);
+    }
+    return grid;
+}
+
+std::string
+capName(const std::string &program, const analysis::PrimePathOptions &o)
+{
+    return program + " maxPaths=" + std::to_string(o.maxPaths) +
+           " maxGenerated=" + std::to_string(o.maxGenerated);
+}
+
+TEST(PrimePathOracle, HandBuiltCfgsMatchReference)
+{
+    const std::pair<const char *, const char *> cfgs[] = {
+        {"diamond", diamondSrc}, {"self-loop", loopSrc}};
+    for (const auto &[name, src] : cfgs) {
+        auto program = isa::assemble(src, name);
+        analysis::Cfg cfg(program);
+        for (const auto &opts : capGrid())
+            expectMatchesReference(cfg, opts, capName(name, opts));
+    }
+}
+
+TEST(PrimePathOracle, EveryWorkloadMatchesReferenceAcrossCaps)
+{
+    setQuiet(true);     // truncated grid points each warn()
+    for (const auto &name : workloads::workloadNames()) {
+        const auto &w = workloads::getWorkload(name);
+        auto program = minic::compile(w.source, name);
+        analysis::Cfg cfg(program);
+        for (const auto &opts : capGrid())
+            expectMatchesReference(cfg, opts, capName(name, opts));
+    }
+    setQuiet(false);
 }
 
 // ---------------------------------------------------------------------
