@@ -89,7 +89,6 @@ Btb::resetCounters()
         e.cnt[0] = 0;
         e.cnt[1] = 0;
     }
-    ++epoch;
 }
 
 } // namespace pe::branch

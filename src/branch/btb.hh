@@ -50,27 +50,6 @@ class Btb
     /** Periodic counter reset (CounterResetInterval). */
     void resetCounters();
 
-    /**
-     * True when edge (@p pc, @p edgeTaken)'s exercise counter sits at
-     * the saturation value, i.e. further increments cannot change it.
-     * The self-pruning saturation predicate's counter leg; unlike
-     * count() it does not touch the lookup statistics, so probing for
-     * saturation leaves the BTB's observable counters untouched.
-     */
-    bool atCap(uint32_t pc, bool edgeTaken) const
-    {
-        const Entry *e = find(pc);
-        return e && e->cnt[edgeTaken ? 1 : 0] == saturation;
-    }
-
-    /**
-     * Monotone counter-reset epoch: bumped by every resetCounters()
-     * call.  Caches keyed on frozen counter values (the superblock
-     * cache) compare this per dispatch and invalidate lazily when a
-     * reset has intervened.
-     */
-    uint64_t resetEpoch() const { return epoch; }
-
     uint8_t maxCount() const { return saturation; }
     uint64_t lookups() const { return lookupCount; }
     uint64_t missesOnLookup() const { return lookupMisses; }
@@ -95,7 +74,6 @@ class Btb
     uint8_t saturation;
     std::vector<Entry> entries;
     uint64_t useClock = 0;
-    uint64_t epoch = 0;
     mutable uint64_t lookupCount = 0;
     mutable uint64_t lookupMisses = 0;
     uint64_t evictionCount = 0;

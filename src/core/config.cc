@@ -83,7 +83,7 @@ configHash(const PeConfig &cfg)
     f.value(cfg.maxTakenInstructions);
     f.value(cfg.maxSegmentDepth);
     f.value(cfg.spawnPreFilter);
-    f.value(cfg.selfPrune);
+    f.value(false);     // retired self-pruning bit; keeps old hashes valid
     f.value(cfg.recordEdgeTrace);
     f.value(cfg.edgeTraceCap);
     for (const auto &fn : cfg.noSpawnFuncs)

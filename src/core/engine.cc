@@ -147,18 +147,6 @@ PathExpanderEngine::PathExpanderEngine(const isa::Program &prog,
                 decoded.markDoomedEdge(pc, true);
         }
     }
-
-    // Self-pruning: per-program static eligibility, shared by every
-    // run's superblock cache.  Branches in BTB sets that could evict
-    // are excluded so skipping their LRU stamps can't change a victim.
-    if (cfg.selfPrune) {
-        pe_assert(cfg.btbParams.ways > 0 &&
-                      cfg.btbParams.entries >= cfg.btbParams.ways,
-                  "degenerate BTB geometry");
-        pruneElig = analysis::computeSaturationEligibility(
-            program, cfg.btbParams.entries / cfg.btbParams.ways,
-            cfg.btbParams.ways);
-    }
 }
 
 RunResult
@@ -345,25 +333,11 @@ PathExpanderEngine::runInline(RunState &state)
     const bool useBlocks = !cfg.legacyStepLoop;
     const uint64_t dilation = blockDilation(cfg);
 
-    // Self-pruning engages only in regimes where the saturation
-    // predicate's no-op proof holds (see maybePromote): the Standard
-    // main path, no random spawn factor to consume RNG draws at a
-    // pruned branch, no NT redirect ablation reading frozen counters
-    // from NT-Paths, and a threshold within the counter range so "at
-    // cap" really does freeze the spawn compare false.
     // Branch tracing needs every conditional branch to surface from
-    // the bulk dispatch paths (blocks run them silently, superblocks
-    // even more so); the result bits are unchanged, only the
-    // execution strategy slows down.
+    // the bulk block dispatch (blocks run them silently with PE off);
+    // the result bits are unchanged, only the execution strategy
+    // slows down.
     const bool traceEdges = cfg.recordEdgeTrace;
-    const bool pruneActive =
-        useBlocks && peActive && cfg.selfPrune && !traceEdges &&
-        cfg.randomSpawnFraction == 0.0 && !cfg.followNonTakenInNt &&
-        cfg.ntPathCounterThreshold <= state.btb.maxCount();
-    if (pruneActive) {
-        state.superblocks = std::make_unique<sim::SuperblockCache>(
-            decoded, pruneElig.branchEligible);
-    }
 
     for (;;) {
         if (cancelRequested(state)) {
@@ -375,43 +349,6 @@ PathExpanderEngine::runInline(RunState &state)
             result.hitInstructionLimit = true;
             result.stopCause = RunStopCause::InstructionLimit;
             break;
-        }
-
-        // Self-pruned dispatch: the pruned image runs straight-line
-        // work *and* promoted (saturated) branches in one loop with
-        // no coverage writes, counter bumps or spawn checks.  The
-        // budget is clipped to the counter-reset boundary so a reset
-        // lands at the exact instruction the per-step loop would
-        // reset at — a superblock must not execute branches that
-        // belong to the post-reset (demoted) regime.
-        if (pruneActive) {
-            state.superblocks->syncEpoch(state.btb.resetEpoch());
-            if (!core.ntEntryPred &&
-                state.superblocks->startsSuper(core.pc,
-                                               detector == nullptr)) {
-                const uint64_t budget = std::min(
-                    cfg.maxTakenInstructions - result.takenInstructions,
-                    cfg.counterResetInterval - state.sinceCounterReset);
-                sim::SuperOut so = sim::runSuperblock(
-                    *state.superblocks, core, blockCap(state, budget),
-                    detector == nullptr);
-                if (so.instructions) {
-                    result.takenInstructions += so.instructions;
-                    result.prunedInstructions += so.instructions;
-                    state.sinceCounterReset += so.instructions;
-                    cycles += so.cycles + dilation * so.instructions;
-                    if (softwareCosts(cfg)) {
-                        cycles += cfg.swCosts.branchAnalysisCost *
-                                  so.branches;
-                    }
-                    if (state.sinceCounterReset >=
-                        cfg.counterResetInterval) {
-                        state.btb.resetCounters();
-                        state.sinceCounterReset = 0;
-                    }
-                    continue;   // re-check the instruction limit first
-                }
-            }
         }
 
         // With PE off, a branch's whole effect is opcode cost plus a
@@ -485,11 +422,6 @@ PathExpanderEngine::runInline(RunState &state)
                                               state, detector, res,
                                               cycles);
                 }
-                // The bookkeeping above may have been the branch's
-                // last observable act; if so, hand it to the pruned
-                // image.
-                if (pruneActive)
-                    maybePromote(state, decoded, res.pc);
             }
         }
 

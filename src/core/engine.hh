@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/analysis/regions.hh"
 #include "src/analysis/verify.hh"
 #include "src/core/config.hh"
 #include "src/core/result.hh"
@@ -82,18 +81,6 @@ class PathExpanderEngine
      */
     const analysis::VerifyReport &verifyReport() const { return *verified; }
 
-    /**
-     * Static saturation eligibility for the self-pruning superblock
-     * cache: which branches live in BTB sets that can never evict, so
-     * eliding their instrumented increments cannot change a victim
-     * choice.  Computed at construction only when cfg.selfPrune is
-     * set; empty otherwise.
-     */
-    const analysis::SaturationEligibility &saturationEligibility() const
-    {
-        return pruneElig;
-    }
-
     /** Per-run internals; defined in engine_impl.hh (not public API). */
     struct RunState;
 
@@ -106,7 +93,6 @@ class PathExpanderEngine
     detect::Detector *detector;
     sim::DecodedProgram decoded;
     const analysis::VerifyReport *verified;
-    analysis::SaturationEligibility pruneElig;
 };
 
 /**

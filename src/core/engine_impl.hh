@@ -11,7 +11,6 @@
 #define PE_CORE_ENGINE_IMPL_HH
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "src/branch/btb.hh"
@@ -19,7 +18,6 @@
 #include "src/mem/hierarchy.hh"
 #include "src/mem/main_memory.hh"
 #include "src/sim/interpreter.hh"
-#include "src/sim/superblock.hh"
 #include "src/support/rng.hh"
 
 namespace pe::core
@@ -53,14 +51,6 @@ struct PathExpanderEngine::RunState
     sim::Core primary;
     uint64_t sinceCounterReset;
     Rng rng;                            //!< random spawn factor
-
-    /**
-     * Self-pruning superblock cache (cfg.selfPrune): this run's
-     * pruned re-decode image.  Constructed lazily at the first pruned
-     * dispatch — promotion state is per run (counter values and
-     * coverage are), so it cannot live on the engine.
-     */
-    std::unique_ptr<sim::SuperblockCache> superblocks;
 
     /** Watchdog cancel token; null for the vast majority of runs. */
     const std::atomic<bool> *cancel = nullptr;
@@ -164,53 +154,6 @@ shouldSpawn(const PeConfig &cfg, PathExpanderEngine::RunState &state,
         return true;
     return cfg.randomSpawnFraction > 0.0 &&
            state.rng.nextDouble() < cfg.randomSpawnFraction;
-}
-
-/**
- * The runtime saturation predicate (self-pruning, cfg.selfPrune):
- * after the instrumented path has fully bookkept a resolved branch,
- * promote it into the superblock cache when every piece of that
- * bookkeeping has provably become a no-op:
- *
- *  - statically eligible: its BTB set can never evict, so skipping
- *    the LRU stamp cannot change a victim (analysis/regions.hh);
- *  - both taken-path coverage bits recorded: further onTakenEdge
- *    calls are idempotent;
- *  - per direction, the spawn decision is frozen false: the edge is
- *    no-spawn-tagged or statically doomed (shouldSpawn returns
- *    before reading the counter — the skipped increment is then
- *    unobservable until the reset zeroes it anyway), or its counter
- *    sits at the saturation cap (increments are value no-ops and,
- *    with threshold <= cap enforced by the caller's activation gate,
- *    count < threshold can never hold again this epoch).
- *
- * The next counter reset invalidates every promotion wholesale (the
- * epoch check in SuperblockCache::syncEpoch) and the branch falls
- * back to the instrumented path until it re-saturates.
- */
-inline void
-maybePromote(PathExpanderEngine::RunState &state,
-             const sim::DecodedProgram &decoded, uint32_t pc)
-{
-    // Static eligibility is folded into the cache's bits at
-    // construction; one lookup covers both legs.
-    sim::SuperblockCache &sc = *state.superblocks;
-    if (!sc.eligible(pc) || sc.promoted(pc))
-        return;
-    const coverage::BranchCoverage &cov = state.result.coverage;
-    if (!cov.takenEdgeCovered(pc, false) ||
-        !cov.takenEdgeCovered(pc, true)) {
-        return;
-    }
-    const bool noSpawn = decoded.noSpawn(pc);
-    for (bool dir : {false, true}) {
-        if (noSpawn || decoded.doomedEdge(pc, dir) ||
-            state.btb.atCap(pc, dir)) {
-            continue;
-        }
-        return;     // this direction's spawn check still has teeth
-    }
-    sc.promote(pc);
 }
 
 /** Direction and entry PC of the non-taken edge of a resolved branch. */

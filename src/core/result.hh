@@ -81,11 +81,10 @@ struct RunResult
     uint64_t ntInstructions = 0;
 
     /**
-     * Of takenInstructions, how many retired through the self-pruned
-     * superblock loop (cfg.selfPrune).  Purely diagnostic — the
-     * bit-identity contract covers every other field, and tests use
-     * this one to assert the pruned path actually engaged — so
-     * identity comparisons must exclude it.
+     * Always 0: the self-pruning dispatch tier that filled it has been
+     * removed.  Kept only because perfbench/pebench.cc still reports
+     * it as sim.insts_pruned; it goes with that metric at the next
+     * benchmark change.
      */
     uint64_t prunedInstructions = 0;
 
@@ -93,9 +92,9 @@ struct RunResult
      * Taken-path branch-decision stream (cfg.recordEdgeTrace): one
      * (pc << 1) | taken word per executed conditional branch, in
      * execution order, capped at cfg.edgeTraceCap events.  Feeds the
-     * prime-path fold (coverage::PathCoverage).  Like
-     * prunedInstructions this is a diagnostic/metric channel excluded
-     * from bit-identity comparisons of engine results.
+     * prime-path fold (coverage::PathCoverage).  A diagnostic/metric
+     * channel, excluded from bit-identity comparisons of engine
+     * results.
      */
     std::vector<uint32_t> branchTrace;
     bool branchTraceTruncated = false;

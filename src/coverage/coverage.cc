@@ -60,20 +60,15 @@ BranchCoverage::combinedFraction() const
 void
 BranchCoverage::mergeFrom(const BranchCoverage &other)
 {
-    bool changed = false;
     if (other.takenBits.size() > takenBits.size()) {
         takenBits.resize(other.takenBits.size(), 0);
         ntBits.resize(other.ntBits.size(), 0);
-        changed = true;     // the edge universe itself grew
     }
     total = std::max(total, other.total);
     for (size_t i = 0; i < other.takenBits.size(); ++i) {
-        changed |= (other.takenBits[i] & ~takenBits[i]) != 0 ||
-                   (other.ntBits[i] & ~ntBits[i]) != 0;
         takenBits[i] |= other.takenBits[i];
         ntBits[i] |= other.ntBits[i];
     }
-    gen += changed;
 }
 
 void
@@ -85,9 +80,6 @@ BranchCoverage::restoreWords(const std::vector<uint64_t> &taken,
               "coverage restore with mismatched bitmap size");
     takenBits = taken;
     ntBits = nt;
-    // An overwrite may clear bits, so derived caches cannot assume
-    // monotone growth across it: always count it as a change.
-    ++gen;
 }
 
 size_t

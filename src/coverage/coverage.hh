@@ -49,30 +49,6 @@ class BranchCoverage
         setBit(ntBits, key(pc, taken));
     }
 
-    /**
-     * True when edge (@p pc, @p taken) has been recorded on the taken
-     * path — the coverage leg of the self-pruning saturation
-     * predicate.  One shift and one word read; pcs beyond the bitmap
-     * read as uncovered.
-     */
-    bool takenEdgeCovered(uint32_t pc, bool taken) const
-    {
-        uint64_t bit = key(pc, taken);
-        size_t word = static_cast<size_t>(bit >> 6);
-        return word < takenBits.size() &&
-               (takenBits[word] >> (bit & 63)) & 1;
-    }
-
-    /**
-     * Dirty counter for consumers caching decisions derived from this
-     * tracker's bits: bumped whenever the bit set actually changes —
-     * a 0->1 flip in either bitmap, a mergeFrom() that contributes
-     * new bits or grows the edge universe, or a restoreWords()
-     * overwrite.  Idempotent re-records leave it untouched, so during
-     * a run it advances only while coverage is still growing.
-     */
-    uint64_t generation() const { return gen; }
-
     size_t totalEdges() const { return total; }
     size_t takenCovered() const { return popcount(takenBits); }
     size_t ntOnlyCovered() const;
@@ -123,10 +99,7 @@ class BranchCoverage
     void setBit(std::vector<uint64_t> &bits, uint64_t bit)
     {
         // Non-branch pcs never reach here; the bitmap spans every pc.
-        uint64_t &word = bits[bit >> 6];
-        uint64_t mask = uint64_t{1} << (bit & 63);
-        gen += (word & mask) == 0;  // only a 0->1 flip is a change
-        word |= mask;
+        bits[bit >> 6] |= uint64_t{1} << (bit & 63);
     }
 
     static size_t popcount(const std::vector<uint64_t> &bits)
@@ -140,7 +113,6 @@ class BranchCoverage
     size_t total;
     std::vector<uint64_t> takenBits;
     std::vector<uint64_t> ntBits;
-    uint64_t gen = 0;
 };
 
 /**

@@ -107,7 +107,7 @@ struct DecodedInst
 };
 
 // The decoded array is the hottest data structure in the simulator:
-// both runBlock and runSuperblock stream it.  Pin the 16-byte layout
+// runBlock streams it.  Pin the 16-byte layout
 // so a future field can't silently fatten every program image and
 // halve the instructions per cache line.
 static_assert(sizeof(DecodedInst) == 16,

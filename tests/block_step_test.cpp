@@ -242,6 +242,138 @@ TEST(BlockStepCorners, InstructionLimit)
 }
 
 // ---------------------------------------------------------------------
+// Saturated loops: with the spawn threshold at the 4-bit counter cap,
+// hot branches end up with both coverage bits recorded and their
+// exercise counters pinned at saturation, the regime where every
+// per-branch bookkeeping step is a value no-op.  The block loop must
+// still agree with the legacy loop there, including across counter
+// resets that land inside the hot loop.
+// ---------------------------------------------------------------------
+
+/**
+ * An outer counted loop around a 4-iteration inner loop whose
+ * branches all alternate direction, so both coverage bits of each
+ * inner branch record within the first outer iteration and the
+ * exercise counters saturate after a few more.
+ */
+isa::Program
+saturatedKernel(int iterations)
+{
+    std::ostringstream out;
+    out << "li r8, 0\n"
+        << "li r20, " << iterations << "\n"
+        << "li r21, 4\nli r9, 1\nli r10, 3\n"
+        << "outer:\n"
+        << "li r12, 0\n"
+        << "inner:\n"
+        << "andi r13, r12, 1\n"
+        << "beq r13, r0, even\n"
+        << "add r9, r9, r10\n"
+        << "jmp join1\n"
+        << "even:\n"
+        << "sub r9, r9, r10\n"
+        << "join1:\n"
+        << "andi r13, r12, 2\n"
+        << "bne r13, r0, skip2\n"
+        << "xor r10, r10, r9\n"
+        << "skip2:\n"
+        << "add r9, r9, r10\n"
+        << "xori r10, r10, 21\n"
+        << "slt r14, r9, r10\n"
+        << "addi r12, r12, 1\n"
+        << "blt r12, r21, inner\n"
+        << "addi r8, r8, 1\n"
+        << "blt r8, r20, outer\n"
+        << "sys print_int r9\n"
+        << "sys exit\n";
+    return isa::assemble(out.str(), "saturated_kernel");
+}
+
+/** @p mode config under which the kernel's counters saturate. */
+core::PeConfig
+saturatingConfig(core::PeMode mode)
+{
+    auto cfg = core::PeConfig::forMode(mode);
+    cfg.maxNtPathLength = 100;
+    cfg.ntPathCounterThreshold = 15;    // == 4-bit counter cap
+    return cfg;
+}
+
+TEST(BlockStepSaturated, KernelAcrossModesCostsAndLimits)
+{
+    auto program = saturatedKernel(300);
+    for (auto mode :
+         {core::PeMode::Off, core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        compareLoops(program, saturatingConfig(mode), "", {});
+
+        // Per-branch analysis cost must be bulk-charged exactly.
+        auto sw = saturatingConfig(mode);
+        sw.costModel = core::CostModelKind::Software;
+        compareLoops(program, sw, "", {});
+    }
+    // The limit must cut the run at the exact same instruction even
+    // when it lands inside the saturated inner loop.
+    auto big = saturatedKernel(100000);
+    for (uint64_t limit : {1000ull, 12345ull}) {
+        SCOPED_TRACE("limit " + std::to_string(limit));
+        auto cfg = saturatingConfig(core::PeMode::Standard);
+        cfg.maxTakenInstructions = limit;
+        compareLoops(big, cfg, "", {});
+    }
+}
+
+TEST(BlockStepSaturated, CounterResetInsideSaturatedLoop)
+{
+    // Resets demote saturated counters back to zero; the loop must
+    // re-spawn and re-saturate at the same instructions either way.
+    auto program = saturatedKernel(200);
+    for (uint64_t interval : {3ull, 17ull, 50ull, 256ull, 1000ull}) {
+        SCOPED_TRACE("interval " + std::to_string(interval));
+        auto cfg = saturatingConfig(core::PeMode::Standard);
+        cfg.counterResetInterval = interval;
+        compareLoops(program, cfg, "", {});
+    }
+
+    const auto &w = workloads::getWorkload("schedule2");
+    auto sched = minic::compile(w.source, w.name);
+    for (uint64_t interval : {3ull, 17ull, 256ull}) {
+        SCOPED_TRACE("schedule2 interval " + std::to_string(interval));
+        auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
+        cfg.maxNtPathLength = w.maxNtPathLength;
+        cfg.counterResetInterval = interval;
+        cfg.ntPathCounterThreshold = 15;
+        compareLoops(sched, cfg, w.tools, w.benignInputs[0]);
+    }
+}
+
+TEST(BlockStepSaturated, SpawnPreFilterAndNoFixing)
+{
+    // Doomed edges never spawn, so their counters only see taken-path
+    // increments.
+    const auto &w = workloads::getWorkload("schedule");
+    auto program = minic::compile(w.source, w.name);
+    auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
+    cfg.maxNtPathLength = w.maxNtPathLength;
+    cfg.ntPathCounterThreshold = 15;
+    cfg.spawnPreFilter = true;
+    cfg.variableFixing = false;
+    compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+}
+
+TEST(BlockStepSaturated, DetectorKeepsChecksSurfacing)
+{
+    // With a detector attached, Chkb/Assert must surface from the
+    // block loop even where the surrounding branches are saturated.
+    const auto &w = workloads::getWorkload("pe_bc");
+    auto program = minic::compile(w.source, w.name);
+    auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
+    cfg.maxNtPathLength = w.maxNtPathLength;
+    cfg.ntPathCounterThreshold = 15;
+    compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+}
+
+// ---------------------------------------------------------------------
 // Random programs.  The generator mixes plain ALU runs (the block fast
 // path), div/rem by a possibly-zero register (crash-capable: must
 // surface so the legacy step reproduces the fault at the same PC),

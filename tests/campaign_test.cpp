@@ -342,6 +342,24 @@ TEST(Config, HashDistinguishesConfigs)
     EXPECT_NE(core::configHash(a), core::configHash(c));
 }
 
+TEST(Config, HashIsPinnedPerMode)
+{
+    // Recorded benchmark outcomes, explorer and fleet checkpoints and
+    // the fleet Hello/Join handshake all carry configHash values, so
+    // the values themselves are part of the contract.
+    using core::PeMode;
+    EXPECT_EQ(core::configHash(core::PeConfig::forMode(PeMode::Off)),
+              0x6a9ea0e6fb011f6cull);
+    EXPECT_EQ(core::configHash(core::PeConfig::forMode(PeMode::Standard)),
+              0xffa29fc9abc98d9dull);
+    EXPECT_EQ(core::configHash(core::PeConfig::forMode(PeMode::Cmp)),
+              0x9ec102e60e1b101bull);
+
+    auto traced = core::PeConfig::forMode(PeMode::Standard);
+    traced.recordEdgeTrace = true;
+    EXPECT_EQ(core::configHash(traced), 0xca7b1c27bab873ccull);
+}
+
 TEST(ThreadPool, RunsEverySubmittedTaskOnce)
 {
     ThreadPool pool(4);
