@@ -38,6 +38,8 @@ expectIdentical(const core::RunResult &blk, const core::RunResult &leg)
     EXPECT_EQ(blk.programCrashed, leg.programCrashed);
     EXPECT_EQ(blk.programCrashKind, leg.programCrashKind);
     EXPECT_EQ(blk.hitInstructionLimit, leg.hitInstructionLimit);
+    EXPECT_EQ(blk.aborted, leg.aborted);
+    EXPECT_EQ(blk.stopCause, leg.stopCause);
     EXPECT_EQ(blk.takenInstructions, leg.takenInstructions);
     EXPECT_EQ(blk.ntInstructions, leg.ntInstructions);
     EXPECT_EQ(blk.cycles, leg.cycles);
@@ -51,6 +53,8 @@ expectIdentical(const core::RunResult &blk, const core::RunResult &leg)
     EXPECT_EQ(blk.io.inputPos, leg.io.inputPos);
     EXPECT_EQ(blk.coverage.takenWords(), leg.coverage.takenWords());
     EXPECT_EQ(blk.coverage.ntWords(), leg.coverage.ntWords());
+    EXPECT_EQ(blk.branchTrace, leg.branchTrace);
+    EXPECT_EQ(blk.branchTraceTruncated, leg.branchTraceTruncated);
 
     ASSERT_EQ(blk.ntRecords.size(), leg.ntRecords.size());
     for (size_t i = 0; i < blk.ntRecords.size(); ++i) {
@@ -155,6 +159,32 @@ INSTANTIATE_TEST_SUITE_P(
                           core::PeMode::Cmp)),
     workloadParamName);
 
+// The same grid with taken-path edge tracing on: every conditional
+// branch must then surface from the block loop (with PE off too) so
+// the trace records it, in order.
+class BlockStepTraced : public BlockStepWorkloads
+{};
+
+TEST_P(BlockStepTraced, BitIdenticalToLegacyLoop)
+{
+    const auto &[name, mode] = GetParam();
+    const auto &w = workloads::getWorkload(name);
+    auto program = minic::compile(w.source, w.name);
+
+    auto cfg = core::PeConfig::forMode(mode);
+    cfg.maxNtPathLength = w.maxNtPathLength;
+    cfg.recordEdgeTrace = true;
+    compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, BlockStepTraced,
+    ::testing::Combine(
+        ::testing::ValuesIn(workloads::workloadNames()),
+        ::testing::Values(core::PeMode::Off, core::PeMode::Standard,
+                          core::PeMode::Cmp)),
+    workloadParamName);
+
 // ---------------------------------------------------------------------
 // Configuration corners on a couple of representative workloads: the
 // software cost model (per-instruction dilation interacts with the
@@ -221,6 +251,26 @@ TEST(BlockStepCorners, TightCounterResetInterval)
             cfg.counterResetInterval = interval;
             compareLoops(program, cfg, w.tools, w.benignInputs[0]);
         }
+    }
+}
+
+TEST(BlockStepCorners, TruncatedEdgeTrace)
+{
+    // A cap far below the branch count: both loops must stop
+    // recording at the same event and flag the truncation.
+    const auto &w = workloads::getWorkload("schedule2");
+    auto program = minic::compile(w.source, w.name);
+    for (auto mode :
+         {core::PeMode::Off, core::PeMode::Standard, core::PeMode::Cmp}) {
+        auto cfg = core::PeConfig::forMode(mode);
+        cfg.maxNtPathLength = w.maxNtPathLength;
+        cfg.recordEdgeTrace = true;
+        cfg.edgeTraceCap = 7;
+        core::PathExpanderEngine engine(program, cfg, nullptr);
+        auto res = engine.run(w.benignInputs[0]);
+        EXPECT_EQ(res.branchTrace.size(), 7u);
+        EXPECT_TRUE(res.branchTraceTruncated);
+        compareLoops(program, cfg, w.tools, w.benignInputs[0]);
     }
 }
 
