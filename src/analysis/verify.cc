@@ -411,19 +411,33 @@ verifyProgram(const isa::Program &program)
 uint64_t
 programFingerprint(const isa::Program &program)
 {
+    // FNV-1a with one 64-bit value per step: each step is a bijection
+    // of the running hash, so changing any single value always changes
+    // the result, at an eighth of the byte-wise cost (engines
+    // fingerprint their program on every construction).
     uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 0x100000001b3ull;
-        }
+    auto mix = [&](uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+    auto mixString = [&](const std::string &s) {
+        mix(s.size());
+        for (char c : s)
+            mix(static_cast<unsigned char>(c));
     };
+    mixString(program.name);
+    mix(program.code.size());
     for (const isa::Instruction &inst : program.code)
         mix(isa::encode(inst));
     mix(program.entry);
     mix(program.dataBase);
     mix(program.heapBase);
     mix(program.dataInit.size());
+    for (int32_t word : program.dataInit)
+        mix(static_cast<uint32_t>(word));
+    mix(program.funcs.size());
+    for (const isa::FuncInfo &f : program.funcs) {
+        mixString(f.name);
+        mix(f.startPc);
+        mix(f.endPc);
+    }
     return h;
 }
 

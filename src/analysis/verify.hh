@@ -84,9 +84,12 @@ std::string formatDiagnostic(const isa::Program &program,
 VerifyReport verifyProgram(const isa::Program &program);
 
 /**
- * Fingerprint of a program image (FNV-1a over the encoded
- * instructions, entry and data layout).  Used to memoise verifier
- * reports across the engine instances a campaign constructs.
+ * The one identity of a program image: FNV-1a over everything that
+ * affects its execution — name, encoded instructions, entry, data
+ * and heap bases, the initial data contents, and each function's name
+ * and code range (which `noSpawnFuncs` resolves through).  Memoises
+ * verifier reports across the engine instances a campaign constructs,
+ * and is what explorer checkpoints and fleet Hello/Join validate.
  */
 uint64_t programFingerprint(const isa::Program &program);
 

@@ -81,13 +81,10 @@ class PathExpanderEngine
      */
     const analysis::VerifyReport &verifyReport() const { return *verified; }
 
-    /** Per-run internals; defined in engine_impl.hh (not public API). */
+    /** Per-run internals; defined in engine.cc (not public API). */
     struct RunState;
 
   private:
-    void runInline(RunState &state);
-    void runCmp(RunState &state);
-
     const isa::Program &program;
     PeConfig cfg;
     detect::Detector *detector;

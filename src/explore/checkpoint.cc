@@ -28,6 +28,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/analysis/verify.hh"
 #include "src/explore/explorer.hh"
 #include "src/explore/serialize.hh"
 #include "src/fleet/wire.hh"
@@ -64,7 +65,7 @@ Explorer::writeCheckpoint(const ExploreResult &res) const
     enc.u32(checkpointVersion);
     enc.u64(core::configHash(opts.config));
     enc.u64(opts.seed);
-    enc.u64(programFingerprint(program));
+    enc.u64(analysis::programFingerprint(program));
     enc.u32(policyWord(opts));
 
     enc.u64(res.batches);
@@ -160,11 +161,11 @@ Explorer::resume(ExploreResult &res)
                      ", found ", seed);
         }
         uint64_t fp = dec.u64("program fingerprint");
-        if (fp != programFingerprint(program)) {
+        if (fp != analysis::programFingerprint(program)) {
             pe_fatal("checkpoint '", opts.resumeFrom,
                      "' program mismatch: this session explores "
                      "image 0x",
-                     fmtHex(programFingerprint(program)),
+                     fmtHex(analysis::programFingerprint(program)),
                      ", checkpoint was taken against 0x", fmtHex(fp));
         }
         uint32_t policy = dec.u32("policy word");

@@ -6,7 +6,6 @@
 #include "src/explore/serialize.hh"
 
 #include "src/explore/explorer.hh"
-#include "src/isa/instruction.hh"
 #include "src/support/status.hh"
 
 namespace pe::explore
@@ -26,18 +25,6 @@ fnvMix(uint64_t &h, uint64_t v)
 }
 
 } // namespace
-
-uint64_t
-programFingerprint(const isa::Program &program)
-{
-    uint64_t h = kFnvOffset;
-    for (char c : program.name)
-        h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
-    fnvMix(h, program.code.size());
-    for (const auto &inst : program.code)
-        fnvMix(h, isa::encode(inst));
-    return h;
-}
 
 uint32_t
 policyWord(const ExploreOptions &opts)

@@ -30,14 +30,6 @@ struct ExploreBatchStats;
 struct ExploreOptions;
 
 /**
- * Identity of the program image this session explores: FNV-1a over
- * the workload name, the code size and every encoded instruction.
- * Data/locs changes that leave the code identical are deliberately
- * ignored — they cannot change control flow or the edge universe.
- */
-uint64_t programFingerprint(const isa::Program &program);
-
-/**
  * The checkpoint's "policy" word is really the full scheduling
  * contract: the SchedulePolicy enum in the low byte plus bit 8 for
  * useStaticPriors.  Prior seeding changes every energy after resume,

@@ -14,6 +14,7 @@
 
 #include <poll.h>
 
+#include "src/analysis/verify.hh"
 #include "src/core/config.hh"
 #include "src/explore/serialize.hh"
 #include "src/fleet/checkpoint.hh"
@@ -67,7 +68,7 @@ fleetIdentityOf(const explore::ExploreOptions &base,
     id.configHash = core::configHash(base.config);
     id.masterSeed = base.seed;
     id.planDigest = plan.planDigest;
-    id.programFp = explore::programFingerprint(program);
+    id.programFp = analysis::programFingerprint(program);
     id.sessionWord = sessionWord(base);
     id.seedsDigest = seedsDigest(seeds);
     return id;
@@ -236,7 +237,7 @@ Coordinator::handshake(Shard &shard)
     hello.masterSeed = opts.base.seed;
     hello.shardSeed = shard.spec.shardSeed;
     hello.planDigest = shardPlan.planDigest;
-    hello.programFp = explore::programFingerprint(program);
+    hello.programFp = analysis::programFingerprint(program);
     hello.heartbeatMs =
         opts.heartbeatMs > 0
             ? static_cast<uint32_t>(opts.heartbeatMs)

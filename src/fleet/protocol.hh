@@ -44,7 +44,7 @@ struct Hello
     uint64_t masterSeed = 0;    //!< the fleet-level seed
     uint64_t shardSeed = 0;     //!< this shard's derived seed
     uint64_t planDigest = 0;    //!< ShardPlan identity
-    uint64_t programFp = 0;     //!< explore::programFingerprint
+    uint64_t programFp = 0;     //!< analysis::programFingerprint
 
     /**
      * Heartbeat interval the coordinator runs its liveness machine

@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include "src/analysis/verify.hh"
 #include "src/core/config.hh"
 #include "src/explore/serialize.hh"
 #include "src/fleet/coordinator.hh"
@@ -465,7 +466,7 @@ remoteWorkerMain(const isa::Program &program,
     join.configHash = cfgHash;
     join.masterSeed = options.base.seed;
     join.planDigest = plan.planDigest;
-    join.programFp = explore::programFingerprint(program);
+    join.programFp = analysis::programFingerprint(program);
     join.sessionWord = sessionWord(options.base);
     join.seedsDigest = seedsDigest(options.seeds);
 

@@ -575,6 +575,23 @@ TEST(Checkpoint, MismatchedSessionIsFatal)
         explore::Explorer e(other, {{1}}, opts);
         EXPECT_THROW(e.run(), FatalError);
     }
+    {   // Same code, one initial data word flipped.
+        auto other = program;
+        ASSERT_FALSE(other.dataInit.empty());
+        other.dataInit.back() ^= 1;
+        auto opts = exploreOptions(59);
+        opts.resumeFrom = ckpt.path;
+        explore::Explorer e(other, scheduleSeeds(workload), opts);
+        EXPECT_THROW(e.run(), FatalError);
+    }
+    {   // Same code, another entry pc.
+        auto other = program;
+        other.entry += 1;
+        auto opts = exploreOptions(59);
+        opts.resumeFrom = ckpt.path;
+        explore::Explorer e(other, scheduleSeeds(workload), opts);
+        EXPECT_THROW(e.run(), FatalError);
+    }
     {   // Missing file.
         auto opts = exploreOptions(59);
         opts.resumeFrom = ckpt.path + ".nonexistent";

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "src/analysis/verify.hh"
 #include "src/explore/explorer.hh"
 #include "src/explore/serialize.hh"
 #include "src/fleet/protocol.hh"
@@ -576,6 +577,44 @@ TEST(Wire, JoinIdentityMismatchNamesTheField)
     got.desiredShard = 2;
     got.lastAckedRound = 7;
     EXPECT_NO_THROW(fleet::validateJoin(got, want));
+}
+
+/**
+ * The program fingerprint covers everything that affects execution,
+ * not just the code: a peer whose initial data or entry pc differ
+ * must be refused.
+ */
+TEST(Wire, JoinRefusesOtherDataOrEntry)
+{
+    const auto &w = workloads::getWorkload("schedule");
+    auto program = minic::compile(w.source, w.name);
+
+    fleet::Join want;
+    want.shards = 2;
+    want.programFp = analysis::programFingerprint(program);
+
+    auto flipped = program;
+    ASSERT_FALSE(flipped.dataInit.empty());
+    flipped.dataInit.front() ^= 1;
+    auto moved = program;
+    moved.entry += 1;
+
+    for (const isa::Program *other : {&flipped, &moved}) {
+        fleet::Join got = want;
+        got.programFp = analysis::programFingerprint(*other);
+        try {
+            fleet::validateJoin(got, want);
+            FAIL() << "program mismatch was accepted";
+        } catch (const wire::WireError &err) {
+            EXPECT_EQ(err.kind(), wire::WireErrorKind::Mismatch);
+            EXPECT_NE(std::string(err.what()).find("program fingerprint"),
+                      std::string::npos);
+        }
+    }
+
+    fleet::Join same = want;
+    same.programFp = analysis::programFingerprint(program);
+    EXPECT_NO_THROW(fleet::validateJoin(same, want));
 }
 
 /**
