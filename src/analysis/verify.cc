@@ -411,10 +411,10 @@ verifyProgram(const isa::Program &program)
 uint64_t
 programFingerprint(const isa::Program &program)
 {
-    // FNV-1a with one 64-bit value per step: each step is a bijection
-    // of the running hash, so changing any single value always changes
-    // the result, at an eighth of the byte-wise cost (engines
-    // fingerprint their program on every construction).
+    // FNV-1a with one 64-bit value per step, not one byte: engines
+    // fingerprint their program on every construction.  Each step is
+    // a bijection of the running hash, so changing any single value
+    // always changes the result.
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&](uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
     auto mixString = [&](const std::string &s) {

@@ -100,6 +100,7 @@ struct PathExpanderEngine::RunState
           btb(cfg.btbParams),
           hierarchy(cfg.mode == PeMode::Cmp ? cfg.numCores : 1,
                     cfg.timing.mem),
+          l1Capacity(hierarchy.l1LineCapacity()),
           result(program),
           sinceCounterReset(0),
           rng(cfg.randomSpawnSeed)
@@ -122,6 +123,7 @@ struct PathExpanderEngine::RunState
     mem::MainMemory &memory;
     branch::Btb btb;
     mem::MemHierarchy hierarchy;
+    const uint32_t l1Capacity;          //!< NT write-set bound, lines
     detect::ObjectRegistry registry;    //!< primary-path object view
     RunResult result;
     sim::Core primary;
@@ -252,7 +254,7 @@ routeEvents(RunState &state, detect::ObjectRegistry &registry,
  * when it is not.  The tagged-checking-function exclusion is a
  * per-PC flag folded into the decoded program (no range scan).
  */
-bool
+inline bool
 shouldSpawn(RunState &state, uint32_t pc, bool ntDir)
 {
     const PeConfig &cfg = state.cfg;
@@ -285,7 +287,8 @@ ntEdgeTarget(const sim::StepResult &res)
 /**
  * One path advance() can run: the taken path, or one NT-Path.  The
  * four contexts (taken or NT, inline or on a CMP core) differ only in
- * these fields.
+ * these fields and in the block budget and spawn hook their driver
+ * passes to advance().
  */
 struct Actor
 {
@@ -300,11 +303,6 @@ struct Actor
     uint64_t &clock;            //!< the cycle clock it advances
     uint64_t &count;            //!< instructions it has retired ...
     uint64_t limit;             //!< ... and may retire
-    /**
-     * Effective cycles a block may consume before the CMP scheduler
-     * would pick another core; UINT64_MAX inline.
-     */
-    uint64_t budget;
 };
 
 /** How an actor's path ended: an NtStopCause, for either kind. */
@@ -317,19 +315,21 @@ struct PathEnd
 /**
  * Run one dispatch for @p a: a block of straight-line instructions,
  * or one surfaced sim::step with its cycle charge, detector events
- * and branch handling.  A taken branch the selection rule picks is
- * handed to @p spawn (the driver's NT-Path launch) after its BTB
- * increment and before the counter-reset check; NT actors never
- * spawn.
+ * and branch handling.  A block may consume @p budget() effective
+ * cycles: under CMP, until the scheduler would pick another core;
+ * inline, without bound.  It is only asked for when a block can
+ * start.  A taken branch the selection rule picks is handed to
+ * @p spawn (the driver's NT-Path launch) after its BTB increment and
+ * before the counter-reset check; NT actors never spawn.
  *
  * A taken actor's end is also recorded in the RunResult (instruction
  * limit, crash); MaxLength stands for the limit, ProgramEnd for exit.
  *
  * @return how the actor's path ended, or nullopt while it goes on.
  */
-template <class Spawn>
+template <class Budget, class Spawn>
 std::optional<PathEnd>
-advance(RunState &state, Actor &a, Spawn &&spawn)
+advance(RunState &state, Actor &a, Budget &&budget, Spawn &&spawn)
 {
     const PeConfig &cfg = state.cfg;
     RunResult &result = state.result;
@@ -360,7 +360,7 @@ advance(RunState &state, Actor &a, Spawn &&spawn)
         // mid-block.
         sim::BlockOut blk = sim::runBlock(
             state.decoded, a.core, blockCap(state, a.limit - a.count),
-            a.budget, state.dilation,
+            budget(), state.dilation,
             branchesInBlock ? &result.coverage : nullptr, inertChecks);
         if (blk.instructions) {
             a.count += blk.instructions;
@@ -403,7 +403,10 @@ advance(RunState &state, Actor &a, Spawn &&spawn)
     }
 
     ++a.count;
-    ++(a.nt ? result.ntInstructions : state.sinceCounterReset);
+    if (a.nt)
+        ++result.ntInstructions;
+    else
+        ++state.sinceCounterReset;
     a.clock += chargeStep(state, a.coreId, res, a.clock, a.nt);
     routeEvents(state, a.registry, ctx, res, a.nt, a.spawnPc);
 
@@ -423,7 +426,7 @@ advance(RunState &state, Actor &a, Spawn &&spawn)
             }
             result.coverage.onNtEdge(res.pc, followed);
         }
-        if (a.buf->numLines() > state.hierarchy.l1LineCapacity())
+        if (a.buf->numLines() > state.l1Capacity)
             return PathEnd{NtStopCause::CapacityOverflow};
         return std::nullopt;
     }
@@ -446,6 +449,9 @@ advance(RunState &state, Actor &a, Spawn &&spawn)
     }
     return std::nullopt;
 }
+
+/** Block budget of the inline actors, which no other core waits on. */
+constexpr auto unbounded = [] { return UINT64_MAX; };
 
 /** Spawn hook of the actors that never spawn (NT-Paths). */
 constexpr auto noSpawn = [](const sim::StepResult &) {};
@@ -497,7 +503,7 @@ exploreNtInline(RunState &state, const sim::StepResult &branchRes)
     Actor nt{core, &buf, cfg.sandboxIo ? specIo : result.io,
              cfg.sandboxIo, overlay, /*coreId=*/0, /*nt=*/true,
              branchRes.pc, result.cycles, record.length,
-             cfg.maxNtPathLength, UINT64_MAX};
+             cfg.maxNtPathLength};
     for (;;) {
         if (cancelRequested(state)) {
             // The whole run is being cancelled; squash this NT-Path
@@ -506,7 +512,7 @@ exploreNtInline(RunState &state, const sim::StepResult &branchRes)
             record.cause = NtStopCause::HostAbort;
             break;
         }
-        if (auto end = advance(state, nt, noSpawn)) {
+        if (auto end = advance(state, nt, unbounded, noSpawn)) {
             record.cause = end->cause;
             record.crashKind = end->crash;
             break;
@@ -534,7 +540,7 @@ runInline(RunState &state)
     Actor taken{state.primary, nullptr, result.io, /*allowIo=*/true,
                 state.registry, /*coreId=*/0, /*nt=*/false, 0,
                 result.cycles, result.takenInstructions,
-                state.cfg.maxTakenInstructions, UINT64_MAX};
+                state.cfg.maxTakenInstructions};
     auto spawn = [&](const sim::StepResult &res) {
         // Exercise counters are also bumped at the entry of an
         // NT-Path (Section 4.2).
@@ -548,7 +554,7 @@ runInline(RunState &state)
             result.stopCause = RunStopCause::Deadline;
             break;
         }
-        if (advance(state, taken, spawn))
+        if (advance(state, taken, unbounded, spawn))
             break;
     }
 }
@@ -649,8 +655,8 @@ runCmp(RunState &state)
     };
 
     // Commit every leading segment whose tokens are available.  A
-    // token only appears when an NT-Path finishes, so finishNt is the
-    // one caller that can commit anything.
+    // squash token only appears when an NT-Path finishes, so only
+    // finishNt (and the final drain) can commit anything.
     auto tryCommit = [&]() {
         while (!cmp.segments.empty()) {
             Segment &front = cmp.segments.front();
@@ -786,13 +792,14 @@ runCmp(RunState &state)
             if (cmp.onCore[c] && cmp.coreTime[c] < cmp.coreTime[next])
                 next = c;
         }
+        auto budget = [&] { return cmp.budget(next); };
         if (next == 0) {
             Actor taken{primary, currentPrimaryBuf(), result.io,
                         /*allowIo=*/true, state.registry, 0,
                         /*nt=*/false, 0, cmp.coreTime[0],
                         result.takenInstructions,
-                        cfg.maxTakenInstructions, cmp.budget(0)};
-            if (advance(state, taken, spawn))
+                        cfg.maxTakenInstructions};
+            if (advance(state, taken, budget, spawn))
                 break;
         } else {
             NtTask &task = *cmp.onCore[next];
@@ -800,8 +807,8 @@ runCmp(RunState &state)
                      task.specIo ? *task.specIo : result.io,
                      cfg.sandboxIo, *task.overlay, next, /*nt=*/true,
                      task.spawnPc, cmp.coreTime[next], task.length,
-                     cfg.maxNtPathLength, cmp.budget(next)};
-            if (auto end = advance(state, nt, noSpawn))
+                     cfg.maxNtPathLength};
+            if (auto end = advance(state, nt, budget, noSpawn))
                 finishNt(task, end->cause, end->crash);
         }
     }
