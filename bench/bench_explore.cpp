@@ -102,8 +102,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
 Arm
 runExplorer(const App &app, explore::SchedulePolicy policy,
             core::PeMode mode, uint64_t budget, std::ostream *jsonl,
-            bool staticPriors = false, bool recordTrace = false,
-            bool pathObjective = false)
+            bool recordTrace = false, bool pathObjective = false)
 {
     explore::ExploreOptions opts;
     opts.config = appConfig(app, mode);
@@ -113,11 +112,9 @@ runExplorer(const App &app, explore::SchedulePolicy policy,
     opts.budget.maxRuns = budget;
     opts.batchSize = 8;
     opts.jsonl = jsonl;
-    opts.useStaticPriors = staticPriors;
     opts.label = app.workload->name + "/" +
                  explore::schedulePolicyName(policy) + "/" +
                  core::peModeName(mode) +
-                 (staticPriors ? "/priors" : "") +
                  (pathObjective ? "/path"
                                 : (recordTrace ? "/trace" : ""));
 
@@ -298,12 +295,11 @@ main()
         core::PeConfig::forMode(core::PeMode::Standard));
 
     Table table({"App", "Budget", "Static suite", "Uniform-random",
-                 "Rare-edge", "Rare+priors", "Path-objective",
+                 "Rare-edge", "Path-objective",
                  "Rare-edge (PE off)",
                  "Sharded x" + std::to_string(shardCount),
                  "TCP x" + std::to_string(shardCount)});
     bool guidedMatches = true;
-    int priorWins = 0;      //!< apps where prior-seeded >= uniform
     int pathWins = 0;       //!< apps where path cover >= rare+trace
     bool pathEdgesOk = true; //!< path edges within 5% of rare, always
     uint64_t totalRuns = 0;
@@ -321,25 +317,17 @@ main()
         Arm rare = runExplorer(
             app, explore::SchedulePolicy::RareEdgeWeighted,
             core::PeMode::Standard, armBudget, &jsonl);
-        // Cold-start comparison: identical configuration to `rare`
-        // except the scheduler's initial energy distribution comes
-        // from the static branch priors (analysis::BranchPriors).
-        Arm prior = runExplorer(
-            app, explore::SchedulePolicy::RareEdgeWeighted,
-            core::PeMode::Standard, armBudget, &jsonl,
-            /*staticPriors=*/true);
         // Path-objective arm vs its measurement twin: both carry the
         // edge trace (so completion is observable on both sides);
         // only the arm under test folds it into scheduling energy.
         Arm rareTrace = runExplorer(
             app, explore::SchedulePolicy::RareEdgeWeighted,
             core::PeMode::Standard, armBudget, &jsonl,
-            /*staticPriors=*/false, /*recordTrace=*/true);
+            /*recordTrace=*/true);
         Arm path = runExplorer(
             app, explore::SchedulePolicy::RareEdgeWeighted,
             core::PeMode::Standard, armBudget, &jsonl,
-            /*staticPriors=*/false, /*recordTrace=*/true,
-            /*pathObjective=*/true);
+            /*recordTrace=*/true, /*pathObjective=*/true);
         Arm rareOff = runExplorer(
             app, explore::SchedulePolicy::RareEdgeWeighted,
             core::PeMode::Off, armBudget, &jsonl);
@@ -353,7 +341,7 @@ main()
                    std::to_string(a.runs) + " runs";
         };
         table.addRow({name, std::to_string(armBudget), cell(stat),
-                      cell(uniform), cell(rare), cell(prior),
+                      cell(uniform), cell(rare),
                       cell(path) + " / cover " +
                           std::to_string(path.coverCompleted) + "/" +
                           std::to_string(path.coverSize),
@@ -365,8 +353,6 @@ main()
 
         guidedMatches = guidedMatches && rare.edges >= stat.edges &&
                         rare.runs <= stat.runs;
-        if (prior.edges >= uniform.edges)
-            ++priorWins;
         if (path.coverCompleted >= rareTrace.coverCompleted)
             ++pathWins;
         // The objective must not trade away edge coverage: within 5%
@@ -375,7 +361,7 @@ main()
             pathEdgesOk && path.edges * 100 >= rare.edges * 95;
 
         totalRuns += stat.runs + uniform.runs + rare.runs +
-                     prior.runs + rareTrace.runs + path.runs +
+                     rareTrace.runs + path.runs +
                      rareOff.runs + sharded.runs + tcp.runs;
 
         std::string prefix = std::string(name) + "_";
@@ -383,7 +369,6 @@ main()
         json.setInt(prefix + "static_edges", stat.edges);
         json.setInt(prefix + "uniform_edges", uniform.edges);
         json.setInt(prefix + "rare_edges", rare.edges);
-        json.setInt(prefix + "prior_edges", prior.edges);
         json.setInt(prefix + "rare_edges_pe_off", rareOff.edges);
         json.setInt(prefix + "rare_runs", rare.runs);
         json.setInt(prefix + "rare_corpus", rare.corpus);
@@ -429,10 +414,6 @@ main()
                                 : "DOES NOT match")
               << " the static suite on every app at <= the same "
                  "number of runs.\n"
-              << "Prior-seeded cold start matches or beats uniform "
-                 "on "
-              << priorWins << "/" << std::size(kWorkloads)
-              << " apps.\n"
               << "Path-objective matches or beats rare-edge cover "
                  "completion on "
               << pathWins << "/" << std::size(kWorkloads)
@@ -449,7 +430,6 @@ main()
 
     json.setInt("sharded_shards", shardCount);
     json.setInt("guided_matches_static", guidedMatches ? 1 : 0);
-    json.setInt("prior_beats_uniform_apps", priorWins);
     json.setInt("path_beats_rare_apps", pathWins);
     json.setInt("path_edges_within_5pct", pathEdgesOk ? 1 : 0);
     json.setInt("custom_budget", customBudget ? 1 : 0);
@@ -458,11 +438,11 @@ main()
     json.set("runs_per_second", totalRuns / wall.count());
     json.write();
 
-    // The suite-parity, prior-vs-uniform and path-vs-rare gates are
+    // The suite-parity and path-vs-rare gates are
     // part of the bench contract only at the default budget; tiny
     // smoke budgets just record numbers.
     return (!customBudget &&
-            (!guidedMatches || priorWins < 2 || pathWins < 2 ||
+            (!guidedMatches || pathWins < 2 ||
              !pathEdgesOk))
                ? 1
                : 0;

@@ -29,6 +29,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "src/analysis/verify.hh"
 #include "src/core/engine.hh"
 #include "src/isa/assembler.hh"
 #include "src/isa/objfile.hh"
@@ -150,6 +151,17 @@ main(int argc, char **argv)
     } catch (const FatalError &e) {
         std::cerr << e.what() << "\n";
         return 1;
+    }
+
+    // Static verification at load.  Never fatal: malformed programs
+    // are legal simulator inputs (the interpreter raises BadJump and
+    // friends), so error findings are only surfaced.
+    const analysis::VerifyReport verified = analysis::verifyProgram(program);
+    if (verified.hasErrors()) {
+        warn("program '", program.name, "' has ", verified.errorCount(),
+             " static verifier error(s); first: ",
+             analysis::formatDiagnostic(program,
+                                        verified.diagnostics.front()));
     }
 
     if (disasm) {

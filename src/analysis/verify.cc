@@ -5,9 +5,6 @@
 
 #include "src/analysis/verify.hh"
 
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "src/analysis/dataflow.hh"
@@ -411,9 +408,8 @@ verifyProgram(const isa::Program &program)
 uint64_t
 programFingerprint(const isa::Program &program)
 {
-    // FNV-1a with one 64-bit value per step, not one byte: engines
-    // fingerprint their program on every construction.  Each step is
-    // a bijection of the running hash, so changing any single value
+    // FNV-1a with one 64-bit value per step, not one byte.  Each step
+    // is a bijection of the running hash, so changing any single value
     // always changes the result.
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&](uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
@@ -439,43 +435,6 @@ programFingerprint(const isa::Program &program)
         mix(f.endPc);
     }
     return h;
-}
-
-const VerifyReport &
-verifyCached(const isa::Program &program)
-{
-    // Engines are constructed per campaign job — thousands per
-    // exploration session — so the verifier memoises on the program
-    // image.  Bounded FIFO: campaigns cycle through very few
-    // distinct programs.
-    static std::mutex mtx;
-    static std::deque<std::pair<uint64_t,
-                                std::unique_ptr<VerifyReport>>> cache;
-    // Evicted reports are parked here so returned references stay
-    // valid for the process lifetime.
-    static std::vector<std::unique_ptr<VerifyReport>> retired;
-    constexpr size_t maxEntries = 32;
-
-    const uint64_t fp = programFingerprint(program);
-    std::unique_lock<std::mutex> lock(mtx);
-    for (const auto &entry : cache) {
-        if (entry.first == fp)
-            return *entry.second;
-    }
-    lock.unlock();
-    auto report = std::make_unique<VerifyReport>(
-        verifyProgram(program));
-    lock.lock();
-    for (const auto &entry : cache) {
-        if (entry.first == fp)
-            return *entry.second;    // raced: keep the first insert
-    }
-    cache.emplace_back(fp, std::move(report));
-    if (cache.size() > maxEntries) {
-        retired.push_back(std::move(cache.front().second));
-        cache.pop_front();
-    }
-    return *cache.back().second;
 }
 
 } // namespace pe::analysis

@@ -2,8 +2,8 @@
  * @file
  * Static program verifier (linter) over the CFG/dataflow framework.
  *
- * The verifier runs at engine load and inside the `pelint` tool.  It
- * never aborts: malformed programs are legal inputs to the simulator
+ * The verifier runs inside the `pelint` tool and when `pe_run` loads
+ * a program; engines do not run it.  It never aborts: malformed programs are legal inputs to the simulator
  * (the interpreter raises BadJump and friends at runtime), so every
  * finding is reported as a structured Diagnostic and the caller
  * decides what to do with error-severity ones.
@@ -87,18 +87,10 @@ VerifyReport verifyProgram(const isa::Program &program);
  * The one identity of a program image: FNV-1a over everything that
  * affects its execution — name, encoded instructions, entry, data
  * and heap bases, the initial data contents, and each function's name
- * and code range (which `noSpawnFuncs` resolves through).  Memoises
- * verifier reports across the engine instances a campaign constructs,
- * and is what explorer checkpoints and fleet Hello/Join validate.
+ * and code range (which `noSpawnFuncs` resolves through).  Explorer
+ * checkpoints and fleet Hello/Join validate against it.
  */
 uint64_t programFingerprint(const isa::Program &program);
-
-/**
- * verifyProgram() memoised process-wide by programFingerprint().
- * Thread-safe; the cache is bounded, evicting oldest entries.  The
- * returned reference stays valid for the process lifetime.
- */
-const VerifyReport &verifyCached(const isa::Program &program);
 
 } // namespace pe::analysis
 

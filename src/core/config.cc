@@ -82,7 +82,7 @@ configHash(const PeConfig &cfg)
     f.value(cfg.numCores);
     f.value(cfg.maxTakenInstructions);
     f.value(cfg.maxSegmentDepth);
-    f.value(cfg.spawnPreFilter);
+    f.value(false);     // retired spawnPreFilter bit; keeps old hashes valid
     f.value(false);     // retired self-pruning bit; keeps old hashes valid
     f.value(cfg.recordEdgeTrace);
     f.value(cfg.edgeTraceCap);

@@ -132,17 +132,6 @@ struct PeConfig
     std::vector<std::string> noSpawnFuncs;
 
     /**
-     * Static spawn pre-filter (src/analysis/priors.hh): at engine
-     * construction, mark branch edges whose straight-line NT
-     * continuation provably hits a syscall before doing any work, and
-     * refuse to spawn those NT-Paths.  Changes which NT-Paths run
-     * (the doomed edge's coverage bit is never recorded and its BTB
-     * counter never saturates), so it is opt-in and part of
-     * configHash().
-     */
-    bool spawnPreFilter = false;
-
-    /**
      * Record the taken-path branch-decision stream into
      * RunResult::branchTrace: one (pc << 1) | taken word per executed
      * conditional branch, in order, capped at edgeTraceCap events.

@@ -38,12 +38,9 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
-#include "src/analysis/priors.hh"
 #include "src/branch/btb.hh"
 #include "src/checkpoint/checkpoint.hh"
 #include "src/mem/hierarchy.hh"
@@ -259,11 +256,6 @@ shouldSpawn(RunState &state, uint32_t pc, bool ntDir)
 {
     const PeConfig &cfg = state.cfg;
     if (state.decoded.noSpawn(pc))
-        return false;
-    // Static spawn pre-filter: edges marked doomed at construction
-    // (immediate-syscall NT continuations) are never worth a spawn.
-    // Flags are only ever set when cfg.spawnPreFilter is on.
-    if (state.decoded.doomedEdge(pc, ntDir))
         return false;
     if (state.btb.count(pc, ntDir) < cfg.ntPathCounterThreshold)
         return true;
@@ -844,39 +836,6 @@ PathExpanderEngine::PathExpanderEngine(const isa::Program &prog,
         for (const auto &f : program.funcs) {
             if (f.name == name)
                 decoded.markNoSpawn(f.startPc, f.endPc);
-        }
-    }
-
-    // Static verification at load.  Never aborts — malformed
-    // programs are legal inputs (the interpreter raises BadJump and
-    // friends) — but error findings are surfaced once per program.
-    verified = &analysis::verifyCached(program);
-    if (verified->hasErrors()) {
-        static std::mutex warnMtx;
-        static std::unordered_set<uint64_t> warned;
-        const uint64_t fp = analysis::programFingerprint(program);
-        std::lock_guard<std::mutex> lock(warnMtx);
-        if (warned.insert(fp).second) {
-            warn("program '", program.name, "' has ",
-                 verified->errorCount(),
-                 " static verifier error(s); first: ",
-                 analysis::formatDiagnostic(
-                     program, verified->diagnostics.front()));
-        }
-    }
-
-    // Static spawn pre-filter: mark provably-doomed NT edges so
-    // shouldSpawn() rejects them in O(1).  Only meaningful while a
-    // syscall actually squashes NT-Paths, i.e. without I/O
-    // sandboxing.
-    if (cfg.spawnPreFilter && !cfg.sandboxIo) {
-        const analysis::BranchPriors priors =
-            analysis::computeBranchPriors(program, cfg.maxNtPathLength);
-        for (const auto &[pc, edges] : priors.branches) {
-            if (edges[0].doomed)
-                decoded.markDoomedEdge(pc, false);
-            if (edges[1].doomed)
-                decoded.markDoomedEdge(pc, true);
         }
     }
 }

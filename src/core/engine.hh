@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/analysis/verify.hh"
 #include "src/core/config.hh"
 #include "src/core/result.hh"
 #include "src/detect/detector.hh"
@@ -71,16 +70,6 @@ class PathExpanderEngine
      */
     const sim::DecodedProgram &decodedProgram() const { return decoded; }
 
-    /**
-     * The static verifier's findings for this engine's program.  The
-     * verifier runs at construction (memoised process-wide on the
-     * program fingerprint — campaigns build thousands of engines for
-     * the same image); error-severity findings are surfaced as
-     * warnings once per program but never abort, since malformed
-     * programs are legal simulator inputs.
-     */
-    const analysis::VerifyReport &verifyReport() const { return *verified; }
-
     /** Per-run internals; defined in engine.cc (not public API). */
     struct RunState;
 
@@ -89,7 +78,6 @@ class PathExpanderEngine
     PeConfig cfg;
     detect::Detector *detector;
     sim::DecodedProgram decoded;
-    const analysis::VerifyReport *verified;
 };
 
 /**

@@ -171,7 +171,7 @@ Explorer::resume(ExploreResult &res)
         uint32_t policy = dec.u32("policy word");
         if (policy != policyWord(opts)) {
             pe_fatal("checkpoint '", opts.resumeFrom,
-                     "' schedule-policy/prior mismatch: expected "
+                     "' schedule-policy mismatch: expected "
                      "policy word 0x",
                      fmtHex(policyWord(opts)), ", found 0x",
                      fmtHex(policy));
@@ -201,16 +201,6 @@ Explorer::resume(ExploreResult &res)
             entries.push_back(decodeEntry(dec, program));
         corp.restore(std::move(entries), frontierTaken, frontierNt,
                      counts, exerciseRuns);
-
-        // priorEnergy is a pure function of (program, config, entry
-        // coverage), so it is recomputed here rather than serialized —
-        // the checkpoint format stays prior-agnostic and the restored
-        // energies cannot drift from what a fresh session would
-        // compute.
-        if (opts.useStaticPriors) {
-            for (CorpusEntry &e : corp.entries())
-                e.priorEnergy = entryPriorEnergy(e);
-        }
 
         uint32_t nStats = dec.count("history");
         res.history.clear();

@@ -66,24 +66,13 @@ struct CorpusEntry
     uint64_t timesScheduled = 0;
 
     /**
-     * Static-prior seed weight (analysis::edgePotential summed over
-     * the entry's uncovered branch directions), set at admission when
-     * the explorer runs with useStaticPriors.  0 — the default —
-     * leaves the energy function bit-identical to the prior-free
-     * scheduler; it is recomputed after a checkpoint restore rather
-     * than serialized.
-     */
-    double priorEnergy = 0.0;
-
-    /**
      * Path-cover adjacency weight (PathCoverage::coverAdjacency over
      * this entry's coverage), maintained by the explorer when
      * ExploreOptions::pathObjective is on: recomputed at admission and
      * refreshed whenever the global completion bits change, since a
      * newly completed cover path stops contributing to every entry.
-     * 0 by default, so the prior-free/path-free energies stay
-     * bit-identical; recomputed after a checkpoint restore rather
-     * than serialized, like priorEnergy.
+     * 0 by default, so the path-free energies stay bit-identical;
+     * recomputed after a checkpoint restore rather than serialized.
      */
     double pathEnergy = 0.0;
 

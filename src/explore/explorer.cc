@@ -39,10 +39,6 @@ Explorer::Explorer(const isa::Program &program,
       sched(this->opts.policy, Rng(this->opts.seed).fork(2)),
       donorRng(Rng(this->opts.seed).fork(3))
 {
-    if (this->opts.useStaticPriors) {
-        priors = analysis::computeBranchPriors(
-            program, this->opts.config.maxNtPathLength);
-    }
     pe_assert(!this->opts.pathObjective ||
                   this->opts.config.recordEdgeTrace,
               "pathObjective requires config.recordEdgeTrace");
@@ -51,40 +47,6 @@ Explorer::Explorer(const isa::Program &program,
     }
     for (const auto &seed : this->seeds)
         mut.observe(seed);
-}
-
-double
-Explorer::entryPriorEnergy(const CorpusEntry &entry) const
-{
-    if (!opts.useStaticPriors)
-        return 0.0;
-    const auto &taken = entry.coverage.takenWords();
-    const auto &nt = entry.coverage.ntWords();
-    auto covered = [&](uint32_t pc, bool dir) {
-        uint64_t bit =
-            (static_cast<uint64_t>(pc) << 1) | (dir ? 1 : 0);
-        size_t word = static_cast<size_t>(bit >> 6);
-        if (word >= taken.size())
-            return false;
-        uint64_t mask = uint64_t{1} << (bit & 63);
-        return ((taken[word] | nt[word]) & mask) != 0;
-    };
-    // Only edges *adjacent* to the entry count: branches the run
-    // reached in one direction but not the other.  A mutation of this
-    // input stands a chance of flipping exactly those; branches the
-    // run never touched weigh every entry equally and carry no
-    // scheduling signal.
-    double sum = 0.0;
-    for (const auto &[pc, edges] : priors.branches) {
-        bool fallCov = covered(pc, false);
-        bool takenCov = covered(pc, true);
-        if (fallCov == takenCov)
-            continue;
-        int missing = fallCov ? 1 : 0;
-        sum +=
-            analysis::edgePotential(edges[missing], priors.maxLen);
-    }
-    return sum;
 }
 
 double
@@ -150,13 +112,8 @@ Explorer::runBatch(const std::vector<std::vector<int32_t>> &inputs,
         // Under Continue/Retry the surviving results are a job-order
         // subsequence; resultJobIndex maps each back to its input.
         const auto &input = inputs[outcome.resultJobIndex[k]];
-        if (corp.consider(input, result, res.batches) > 0) {
+        if (corp.consider(input, result, res.batches) > 0)
             ++stats.admitted;
-            if (opts.useStaticPriors) {
-                CorpusEntry &admitted = corp.entries().back();
-                admitted.priorEnergy = entryPriorEnergy(admitted);
-            }
-        }
         res.instructions +=
             result.takenInstructions + result.ntInstructions;
         res.ntSpawned += result.ntPathsSpawned;
@@ -371,8 +328,6 @@ Explorer::importForeignEntries(std::vector<CorpusEntry> entries)
         if (corp.considerForeign(std::move(entry), acc.batches) > 0) {
             ++admitted;
             CorpusEntry &in = corp.entries().back();
-            if (opts.useStaticPriors)
-                in.priorEnergy = entryPriorEnergy(in);
             in.pathEnergy = entryPathEnergy(in);
         }
     }

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/priors.hh"
 #include "src/core/campaign.hh"
 #include "src/coverage/pathcov.hh"
 #include "src/explore/corpus.hh"
@@ -147,19 +146,6 @@ struct ExploreOptions
     const std::atomic<bool> *stopFlag = nullptr;
 
     /**
-     * Seed each admitted entry's scheduling energy from the static
-     * branch priors (analysis::computeBranchPriors at construction,
-     * cut at config.maxNtPathLength): an entry's priorEnergy is the
-     * summed edgePotential of the branch directions its own run did
-     * *not* cover, so the scheduler leans toward parents adjacent to
-     * promising unexplored edges before dynamic rarity data exists.
-     * Off by default — the prior-free energies stay bit-identical.
-     * Folded into the checkpoint policy word: a checkpoint taken with
-     * priors on cannot silently resume a priors-off session.
-     */
-    bool useStaticPriors = false;
-
-    /**
      * Path-cover-guided scheduling.  Requires config.recordEdgeTrace
      * (asserted at construction): the explorer builds the program's
      * prime-path set and minimum path cover (analysis/primepaths.hh),
@@ -245,8 +231,8 @@ class Explorer
     /**
      * Fleet hook: offer peer-admitted corpus entries to the local
      * corpus (Corpus::considerForeign semantics).  Returns how many
-     * were admitted; admitted entries are rescored and, under
-     * useStaticPriors, prior-seeded exactly like local admissions.
+     * were admitted; admitted entries are rescored and path-scored
+     * exactly like local admissions.
      */
     size_t importForeignEntries(std::vector<CorpusEntry> entries);
 
@@ -319,17 +305,10 @@ class Explorer
     void maybeCheckpoint(const ExploreResult &res, bool force);
 
     /**
-     * Summed edgePotential over the branch directions @p entry's
-     * coverage misses; 0 when useStaticPriors is off.  Deterministic
-     * in (program, config), so resume recomputes it instead of the
-     * checkpoint storing it.
-     */
-    double entryPriorEnergy(const CorpusEntry &entry) const;
-
-    /**
      * Cover-adjacency energy for @p entry (0 when pathObjective is
      * off).  Deterministic in (program, tracker bits, entry
-     * coverage); resume recomputes it like entryPriorEnergy.
+     * coverage), so resume recomputes it instead of the checkpoint
+     * storing it.
      */
     double entryPathEnergy(const CorpusEntry &entry) const;
 
@@ -339,7 +318,6 @@ class Explorer
     const isa::Program &program;
     std::vector<std::vector<int32_t>> seeds;
     ExploreOptions opts;
-    analysis::BranchPriors priors;
 
     /** Prime-path tracker; null unless config.recordEdgeTrace. */
     std::unique_ptr<coverage::PathCoverage> paths;

@@ -40,13 +40,10 @@ Scheduler::energy(const CorpusEntry &entry) const
                          std::min<uint64_t>(entry.ntEarlyStops, 8));
     double fatigue =
         1.0 + 0.5 * static_cast<double>(entry.timesScheduled);
-    // Static-prior seeding: priorEnergy is 0 unless the explorer
-    // computed spawn priors, so the default stays bit-identical.
-    double prior = 1.0 + entry.priorEnergy;
     // Path-cover adjacency: 0 unless the explorer runs with
     // pathObjective, preserving bit-identity the same way.
     double pathw = 1.0 + entry.pathEnergy;
-    return rare * depth * prior * pathw / fatigue;
+    return rare * depth * pathw / fatigue;
 }
 
 std::vector<size_t>

@@ -29,8 +29,8 @@ fnvMix(uint64_t &h, uint64_t v)
 uint32_t
 policyWord(const ExploreOptions &opts)
 {
+    // 0x100 is the retired static-prior bit: never set, never reused.
     return static_cast<uint32_t>(opts.policy) |
-           (opts.useStaticPriors ? 0x100u : 0u) |
            (opts.pathObjective ? 0x200u : 0u);
 }
 

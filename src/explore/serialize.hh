@@ -31,10 +31,13 @@ struct ExploreOptions;
 
 /**
  * The checkpoint's "policy" word is really the full scheduling
- * contract: the SchedulePolicy enum in the low byte plus bit 8 for
- * useStaticPriors.  Prior seeding changes every energy after resume,
- * so a priors-on checkpoint must not silently continue a priors-off
- * session (or vice versa) any more than a policy swap may.
+ * contract: the SchedulePolicy enum in the low byte plus bit 9 (0x200)
+ * for pathObjective.  The objective changes every energy after
+ * resume, so a path-objective checkpoint must not silently continue
+ * an edge-objective session (or vice versa) any more than a policy
+ * swap may.  Bit 8 (0x100) is retired — it flagged the removed
+ * static-prior seeding — and must not be reused: checkpoints and
+ * fleet session words that carry it are refused, not reinterpreted.
  */
 uint32_t policyWord(const ExploreOptions &opts);
 
@@ -49,9 +52,9 @@ uint64_t coverageDigest(const coverage::BranchCoverage &cov);
 void encodeEntry(wire::Encoder &enc, const CorpusEntry &entry);
 
 /**
- * Decode one entry against @p program's edge universe.  priorEnergy
- * is *not* on the wire: it is a pure function of (program, config,
- * coverage) and is recomputed by whoever admits the entry.
+ * Decode one entry against @p program's edge universe.  pathEnergy
+ * is *not* on the wire: it is a pure function of (program, tracker
+ * bits, coverage) and is recomputed by whoever admits the entry.
  */
 CorpusEntry decodeEntry(wire::Decoder &dec,
                         const isa::Program &program);

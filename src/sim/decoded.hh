@@ -99,11 +99,6 @@ struct DecodedInst
     uint8_t flags = 0;
 
     static constexpr uint8_t FlagNoSpawn = 1u << 0;
-    /** Static priors: spawning this branch's fall-through-direction
-     *  NT-Path is provably useless (immediate syscall). */
-    static constexpr uint8_t FlagDoomedFall = 1u << 1;
-    /** Same, for the taken-direction NT-Path. */
-    static constexpr uint8_t FlagDoomedTaken = 1u << 2;
 };
 
 // The decoded array is the hottest data structure in the simulator:
@@ -135,23 +130,6 @@ class DecodedProgram
     {
         return pc < insts.size() &&
                (insts[pc].flags & DecodedInst::FlagNoSpawn) != 0;
-    }
-
-    /** Mark @p pc's @p takenDir NT edge as statically doomed. */
-    void markDoomedEdge(uint32_t pc, bool takenDir)
-    {
-        if (pc < insts.size()) {
-            insts[pc].flags |= takenDir ? DecodedInst::FlagDoomedTaken
-                                        : DecodedInst::FlagDoomedFall;
-        }
-    }
-
-    /** True when the spawn pre-filter rejects @p pc's @p takenDir edge. */
-    bool doomedEdge(uint32_t pc, bool takenDir) const
-    {
-        const uint8_t flag = takenDir ? DecodedInst::FlagDoomedTaken
-                                      : DecodedInst::FlagDoomedFall;
-        return pc < insts.size() && (insts[pc].flags & flag) != 0;
     }
 
     /**

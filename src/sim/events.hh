@@ -25,7 +25,8 @@ enum class CrashKind : uint8_t
 {
     None = 0,
     DivByZero,
-    BadAddress,     //!< load/store outside the address space
+    BadAddress,     //!< load/store outside the address space, or a
+                    //!< Regobj base below the low guard
     BadJump,        //!< control transfer outside the code segment
     HeapOverflow,   //!< bump allocator exhausted
 };

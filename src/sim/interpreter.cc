@@ -286,6 +286,12 @@ step(const isa::Program &program, Core &core, mem::MemCtx &ctx,
         break;
 
       case Opcode::Regobj:
+        // The registry keeps a guard span below every object; a base
+        // with no room for it is a bad address, not a host abort.
+        if (static_cast<uint32_t>(rs1()) < isa::Program::guardWords) {
+            res.crash = CrashKind::BadAddress;
+            return res;
+        }
         res.registeredObject = true;
         res.objBase = static_cast<uint32_t>(rs1());
         res.objSize = static_cast<uint32_t>(rs2());

@@ -4,20 +4,20 @@
  * dominators, liveness and reaching-definitions oracles on hand-built
  * programs; the program verifier's diagnostic classes on adversarial
  * assembly; the Section-4.4 fix-set checker (clean on every workload,
- * and flags corrupted Pfix/Pfixst sequences); the static NT-spawn
- * priors (doomed-edge detection, the engine's spawn pre-filter, and
- * prior-seeded exploration determinism with bit-identical resume).
+ * and flags corrupted Pfix/Pfixst sequences); and the retired
+ * static-prior bit of the explorer's checkpoint policy word.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "src/analysis/cfg.hh"
 #include "src/analysis/dataflow.hh"
 #include "src/analysis/fixcheck.hh"
-#include "src/analysis/priors.hh"
 #include "src/analysis/verify.hh"
 #include "src/core/engine.hh"
 #include "src/explore/explorer.hh"
@@ -241,26 +241,18 @@ TEST(Verify, BranchIntoFixPairIsWarning)
     EXPECT_TRUE(hasDiag(report.diagnostics, DiagCode::SplitFixPair));
 }
 
-TEST(Verify, CachedReportIsMemoisedPerProgram)
-{
-    auto program = isa::assemble(diamondSrc, "diamond");
-    const auto &a = analysis::verifyCached(program);
-    const auto &b = analysis::verifyCached(program);
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(a.errorCount(), 0u);
-}
-
 TEST(Verify, EngineConstructsOnInvalidProgramAndSurfacesReport)
 {
-    // Malformed programs are legal simulator inputs: construction
-    // must not abort, and the report must be visible on the engine.
+    // Malformed programs are legal simulator inputs: the verifier
+    // reports them, and engine construction and the run must not
+    // abort.
     auto program = isa::assemble("    li r8, 1\n"
                                  "    beq r8, r0, 99\n"
                                  "    sys exit\n",
                                  "bad");
+    EXPECT_TRUE(analysis::verifyProgram(program).hasErrors());
     core::PathExpanderEngine engine(
         program, core::PeConfig::forMode(core::PeMode::Standard));
-    EXPECT_TRUE(engine.verifyReport().hasErrors());
     auto result = engine.run({});
     EXPECT_TRUE(result.programCrashed);
 }
@@ -379,63 +371,10 @@ TEST(FixCheck, AllWorkloadsVerifyErrorFreeAndFixSetsClean)
 }
 
 // ---------------------------------------------------------------------
-// Static NT-spawn priors.
-
-// A hot loop whose branch is always taken; the non-taken continuation
-// is an immediate unsafe Sys, i.e. a provably-doomed NT-Path.
-const char *doomedSrc = R"(
-    li r20, 8
-outer:
-    li r8, 7
-    bne r8, r0, skip
-    sys print_int r8
-skip:
-    addi r20, r20, -1
-    bgt r20, r0, outer
-    sys exit
-)";
-
-TEST(Priors, DoomedEdgeDetectedAndScoredZero)
-{
-    auto program = isa::assemble(doomedSrc, "doomed");
-    auto priors = analysis::computeBranchPriors(program, 100);
-
-    EXPECT_EQ(priors.edge(0, false), nullptr);  // li: not a branch
-    const auto *fall = priors.edge(2, false);
-    const auto *taken = priors.edge(2, true);
-    ASSERT_NE(fall, nullptr);
-    ASSERT_NE(taken, nullptr);
-    EXPECT_TRUE(fall->doomed);
-    EXPECT_FALSE(taken->doomed);
-    EXPECT_EQ(analysis::edgePotential(*fall, priors.maxLen), 0.0);
-    EXPECT_GT(analysis::edgePotential(*taken, priors.maxLen), 0.0);
-    // The doomed direction's unsafe event is right at its entry.
-    EXPECT_EQ(fall->unsafeDistance, 0u);
-}
-
-TEST(Priors, SpawnPreFilterSuppressesDoomedNtPaths)
-{
-    auto program = isa::assemble(doomedSrc, "doomed");
-
-    auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
-    core::PathExpanderEngine plain(program, cfg);
-    auto base = plain.run({});
-    EXPECT_GT(base.ntPathsSpawned, 0u);
-    EXPECT_FALSE(plain.decodedProgram().doomedEdge(2, false));
-
-    cfg.spawnPreFilter = true;
-    core::PathExpanderEngine filtered(program, cfg);
-    EXPECT_TRUE(filtered.decodedProgram().doomedEdge(2, false));
-    EXPECT_FALSE(filtered.decodedProgram().doomedEdge(2, true));
-    auto trimmed = filtered.run({});
-    // The doomed spawns are gone; the taken-path semantics are not.
-    EXPECT_LT(trimmed.ntPathsSpawned, base.ntPathsSpawned);
-    EXPECT_EQ(trimmed.io.charOutput, base.io.charOutput);
-    EXPECT_EQ(trimmed.programCrashed, base.programCrashed);
-}
-
-// ---------------------------------------------------------------------
-// Prior-seeded exploration: determinism and checkpoint/resume.
+// Retired static priors.  Bit 0x100 of the checkpoint policy word
+// flagged prior-seeded scheduling; the option is gone, and a
+// checkpoint that still carries the bit must be refused rather than
+// resumed under different energies.
 
 struct TempPath
 {
@@ -449,7 +388,7 @@ struct TempPath
 };
 
 explore::ExploreOptions
-priorOptions(uint64_t maxRuns)
+exploreOptions(uint64_t maxRuns)
 {
     explore::ExploreOptions opts;
     opts.config = core::PeConfig::forMode(core::PeMode::Off);
@@ -457,7 +396,6 @@ priorOptions(uint64_t maxRuns)
     opts.budget.maxRuns = maxRuns;
     opts.batchSize = 8;
     opts.seed = 0x9e11;
-    opts.useStaticPriors = true;
     return opts;
 }
 
@@ -468,76 +406,6 @@ scheduleSeeds(const workloads::Workload &workload)
             workload.benignInputs.begin() + 3};
 }
 
-TEST(Priors, SeededExplorationIsDeterministic)
-{
-    const auto &workload = workloads::getWorkload("schedule");
-    auto program = minic::compile(workload.source, "schedule");
-
-    auto runOnce = [&] {
-        explore::Explorer explorer(program, scheduleSeeds(workload),
-                                   priorOptions(59));
-        auto res = explorer.run();
-        return std::make_pair(res, explorer.corpus().entries());
-    };
-    auto [resA, corpusA] = runOnce();
-    auto [resB, corpusB] = runOnce();
-
-    EXPECT_EQ(resA.runs, resB.runs);
-    EXPECT_EQ(resA.instructions, resB.instructions);
-    ASSERT_EQ(corpusA.size(), corpusB.size());
-    double maxPrior = 0.0;
-    for (size_t i = 0; i < corpusA.size(); ++i) {
-        EXPECT_EQ(corpusA[i].input, corpusB[i].input);
-        EXPECT_EQ(corpusA[i].priorEnergy, corpusB[i].priorEnergy);
-        maxPrior = std::max(maxPrior, corpusA[i].priorEnergy);
-    }
-    // At least one entry sits adjacent to an uncovered direction, so
-    // the priors actually shaped the energy distribution.
-    EXPECT_GT(maxPrior, 0.0);
-}
-
-TEST(Priors, SeededResumeContinuesBitIdentically)
-{
-    const auto &workload = workloads::getWorkload("schedule");
-    auto program = minic::compile(workload.source, "schedule");
-    TempPath ckpt("pe_priors_resume_test.ckpt");
-
-    explore::Explorer full(program, scheduleSeeds(workload),
-                           priorOptions(59));
-    auto fullRes = full.run();
-
-    {
-        auto opts = priorOptions(27);
-        opts.checkpointPath = ckpt.path;
-        explore::Explorer head(program, scheduleSeeds(workload),
-                               opts);
-        auto headRes = head.run();
-        EXPECT_EQ(headRes.runs, 27u);
-    }
-
-    auto opts = priorOptions(59);
-    opts.resumeFrom = ckpt.path;
-    explore::Explorer tail(program, scheduleSeeds(workload), opts);
-    auto tailRes = tail.run();
-
-    EXPECT_EQ(fullRes.runs, tailRes.runs);
-    EXPECT_EQ(fullRes.instructions, tailRes.instructions);
-    EXPECT_EQ(full.corpus().frontier().takenWords(),
-              tail.corpus().frontier().takenWords());
-    EXPECT_EQ(full.corpus().frontier().ntWords(),
-              tail.corpus().frontier().ntWords());
-    ASSERT_EQ(full.corpus().size(), tail.corpus().size());
-    for (size_t i = 0; i < full.corpus().size(); ++i) {
-        const auto &x = full.corpus().entries()[i];
-        const auto &y = tail.corpus().entries()[i];
-        EXPECT_EQ(x.input, y.input);
-        EXPECT_EQ(x.timesScheduled, y.timesScheduled);
-        // priorEnergy is recomputed on restore, not serialized; it
-        // must still match the uninterrupted run exactly.
-        EXPECT_EQ(x.priorEnergy, y.priorEnergy);
-    }
-}
-
 TEST(Priors, CheckpointRefusesPriorSettingMismatch)
 {
     const auto &workload = workloads::getWorkload("schedule");
@@ -545,17 +413,32 @@ TEST(Priors, CheckpointRefusesPriorSettingMismatch)
     TempPath ckpt("pe_priors_mismatch_test.ckpt");
 
     {
-        auto opts = priorOptions(27);
+        auto opts = exploreOptions(27);
         opts.checkpointPath = ckpt.path;
         explore::Explorer head(program, scheduleSeeds(workload),
                                opts);
         head.run();
     }
 
-    // Same seed, policy and config, but priors off: the scheduler
-    // contract differs, so the resume must be rejected.
-    auto opts = priorOptions(59);
-    opts.useStaticPriors = false;
+    // Set the retired prior bit in the checkpoint: the policy word is
+    // the little-endian u32 after magic, version, config hash, seed
+    // and program fingerprint (8 + 4 + 8 + 8 + 8 = 36 bytes).
+    std::string bytes;
+    {
+        std::ifstream is(ckpt.path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is), {});
+    }
+    ASSERT_GT(bytes.size(), 40u);
+    ASSERT_EQ(bytes[37], 0);
+    bytes[37] = 0x01;
+    {
+        std::ofstream os(ckpt.path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    // Same seed, policy and config, but the prior bit differs: the
+    // scheduler contract differs, so the resume must be rejected.
+    auto opts = exploreOptions(59);
     opts.resumeFrom = ckpt.path;
     explore::Explorer tail(program, scheduleSeeds(workload), opts);
     EXPECT_THROW(tail.run(), FatalError);

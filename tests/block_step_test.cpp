@@ -292,6 +292,81 @@ TEST(BlockStepCorners, InstructionLimit)
 }
 
 // ---------------------------------------------------------------------
+// Regobj with a base below the registry's low guard.  Malformed
+// programs are legal inputs: the step raises BadAddress (a program
+// crash on the taken path, a swallowed NtStopCause::Crash on an
+// NT-Path) instead of aborting the host.
+// ---------------------------------------------------------------------
+
+isa::Program
+lowBaseRegobj(uint32_t base, bool behindBranch)
+{
+    std::ostringstream out;
+    if (behindBranch) {
+        // Always taken: the registration sits on the NT side only.
+        out << "li r8, 1\n"
+            << "bne r8, r0, done\n";
+    }
+    out << "li r10, " << base << "\n"
+        << "li r9, 4\n"
+        << "regobj r10, r9, heap\n"
+        << "done:\n";
+    // Straight-line work keeps the taken path alive long enough for a
+    // CMP NT-Path to reach the registration before the exit squashes
+    // it.
+    for (int i = 0; i < 32; ++i)
+        out << "addi r11, r11, 1\n";
+    out << "sys exit\n";
+    return isa::assemble(out.str(), "lowbase");
+}
+
+constexpr core::PeMode kAllModes[] = {
+    core::PeMode::Off, core::PeMode::Standard, core::PeMode::Cmp};
+
+TEST(RegobjLowBase, TakenPathCrashesWithBadAddress)
+{
+    for (uint32_t base : {0u, 1u}) {
+        auto program = lowBaseRegobj(base, false);
+        for (auto mode : kAllModes) {
+            SCOPED_TRACE("base " + std::to_string(base) + " mode " +
+                         core::peModeName(mode));
+            auto cfg = core::PeConfig::forMode(mode);
+            compareLoops(program, cfg, "", {});
+            compareLoops(program, cfg, "memory", {});
+            core::PathExpanderEngine engine(program, cfg);
+            auto r = engine.run({});
+            EXPECT_TRUE(r.programCrashed);
+            EXPECT_EQ(r.programCrashKind, sim::CrashKind::BadAddress);
+        }
+    }
+}
+
+TEST(RegobjLowBase, NtPathStopsWithCrash)
+{
+    for (uint32_t base : {0u, 1u}) {
+        auto program = lowBaseRegobj(base, true);
+        for (auto mode : kAllModes) {
+            SCOPED_TRACE("base " + std::to_string(base) + " mode " +
+                         core::peModeName(mode));
+            auto cfg = core::PeConfig::forMode(mode);
+            compareLoops(program, cfg, "", {});
+            compareLoops(program, cfg, "memory", {});
+            core::PathExpanderEngine engine(program, cfg);
+            auto r = engine.run({});
+            EXPECT_FALSE(r.programCrashed);
+            if (mode == core::PeMode::Off) {
+                EXPECT_TRUE(r.ntRecords.empty());
+                continue;
+            }
+            ASSERT_EQ(r.ntRecords.size(), 1u);
+            EXPECT_EQ(r.ntRecords[0].cause, core::NtStopCause::Crash);
+            EXPECT_EQ(r.ntRecords[0].crashKind,
+                      sim::CrashKind::BadAddress);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Saturated loops: with the spawn threshold at the 4-bit counter cap,
 // hot branches end up with both coverage bits recorded and their
 // exercise counters pinned at saturation, the regime where every
@@ -397,16 +472,16 @@ TEST(BlockStepSaturated, CounterResetInsideSaturatedLoop)
     }
 }
 
-TEST(BlockStepSaturated, SpawnPreFilterAndNoFixing)
+TEST(BlockStepSaturated, NoFixing)
 {
-    // Doomed edges never spawn, so their counters only see taken-path
-    // increments.
+    // Without variable fixing, NT-Paths resolve their branches on
+    // unfixed values; block stepping must still match the legacy
+    // step.
     const auto &w = workloads::getWorkload("schedule");
     auto program = minic::compile(w.source, w.name);
     auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
     cfg.maxNtPathLength = w.maxNtPathLength;
     cfg.ntPathCounterThreshold = 15;
-    cfg.spawnPreFilter = true;
     cfg.variableFixing = false;
     compareLoops(program, cfg, w.tools, w.benignInputs[0]);
 }
