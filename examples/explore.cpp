@@ -512,7 +512,13 @@ main(int argc, char **argv)
               << opts.budget.maxRuns << " runs)\n";
 
     explore::Explorer explorer(program, workload.benignInputs, opts);
-    auto result = explorer.run();
+    explore::ExploreResult result;
+    try {
+        result = explorer.run();
+    } catch (const FatalError &err) {
+        std::cerr << "explore: " << err.what() << "\n";
+        return 1;
+    }
     if (verbose)
         std::cerr << "\n";
 

@@ -7,6 +7,7 @@
 
 #include <bit>
 
+#include "src/support/fnv.hh"
 #include "src/support/status.hh"
 
 namespace pe::coverage
@@ -17,16 +18,6 @@ namespace
 
 /** Fold-walker step bound: replay can never exceed a real run. */
 constexpr uint64_t kMaxFoldSteps = 1ull << 22;
-
-uint64_t
-fnvMix(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 } // namespace
 
@@ -403,8 +394,7 @@ PathCoverage::coverAdjacency(const std::vector<uint64_t> &takenWords,
 uint64_t
 PathCoverage::digest() const
 {
-    uint64_t h = 14695981039346656037ull;
-    h = fnvMix(h, pathCount);
+    uint64_t h = fnvMix(kFnvOffset, pathCount);
     for (uint64_t w : bits)
         h = fnvMix(h, w);
     return h;
@@ -416,10 +406,6 @@ PathCoverage::encodeState(wire::Encoder &enc) const
     enc.u64(statFolded);
     enc.u64(statTruncated);
     enc.u64(statDesync);
-    // Retired match-overflow counter: always 0, kept so explorer
-    // checkpoint v3, fleet wire v4 and fleet checkpoint v2 keep their
-    // byte layouts.
-    enc.u64(0);
     enc.u64vec(bits);
 }
 
@@ -429,7 +415,6 @@ PathCoverage::decodeState(wire::Decoder &dec)
     const uint64_t folded = dec.u64("path folded runs");
     const uint64_t truncatedRuns = dec.u64("path truncated runs");
     const uint64_t desync = dec.u64("path desync runs");
-    dec.u64("path match overflows");   // retired, see encodeState
     std::vector<uint64_t> saved = dec.u64vec("path words");
     if (saved.size() != bits.size()) {
         throw wire::WireError(wire::WireErrorKind::Mismatch,

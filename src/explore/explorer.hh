@@ -130,8 +130,9 @@ struct ExploreOptions
 
     /**
      * Resume from this checkpoint file instead of running the seed
-     * batch.  The checkpoint must match this session's config hash,
-     * seed, schedule policy and program; the continuation is then
+     * batch.  The checkpoint must match this session's identity
+     * (explore::SessionIdentity: config, seed, the options in the
+     * session word, program and seeds); the continuation is then
      * bit-identical to the uninterrupted run.  The *same seeds* must
      * be passed again (the mutator alphabet is rebuilt from them).
      */
@@ -155,9 +156,9 @@ struct ExploreOptions
      * runs already walk long prefixes of incomplete cover paths.
      * The tracker itself exists whenever recordEdgeTrace is on (that
      * flag is part of configHash); this option only adds the energy
-     * shaping, and is folded into the checkpoint/fleet policy word
-     * (bit 0x200) so a path-objective checkpoint cannot silently
-     * resume an edge-objective session or vice versa.
+     * shaping, and is folded into the session word (policy bit
+     * 0x200) so a path-objective checkpoint cannot silently resume
+     * an edge-objective session or vice versa.
      */
     bool pathObjective = false;
 };

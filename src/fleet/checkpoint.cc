@@ -5,15 +5,10 @@
 
 #include "src/fleet/checkpoint.hh"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "src/explore/serialize.hh"
 #include "src/fleet/wire.hh"
 #include "src/support/faultinject.hh"
 #include "src/support/status.hh"
-#include "src/support/strutil.hh"
 
 namespace pe::fleet
 {
@@ -21,15 +16,14 @@ namespace pe::fleet
 namespace
 {
 
-constexpr char magic[8] = {'P', 'E', 'F', 'C', 'K', 'P', '1', '\0'};
-
 /**
- * Version 1: the PR 9 durable-session format.  Version 2: the merged
- * prime-path completion words follow the entry origins (empty vector
- * when the tracker is off).  Older files are refused with both
- * numbers reported.
+ * Version 2: the merged prime-path completion words follow the entry
+ * origins (empty vector when the tracker is off).  Version 3: the
+ * header is the full SessionIdentity.  Older files are refused with
+ * both numbers reported.
  */
-constexpr uint32_t checkpointVersion = 2;
+constexpr explore::CheckpointFormat kFormat = {
+    "fleet checkpoint", {'P', 'E', 'F', 'C', 'K', 'P', '1', '\0'}, 3};
 
 void
 encodeShard(wire::Encoder &enc, const ShardCheckpoint &s)
@@ -51,7 +45,7 @@ encodeShard(wire::Encoder &enc, const ShardCheckpoint &s)
 }
 
 ShardCheckpoint
-decodeShard(wire::Decoder &dec)
+decodeShard(wire::Decoder &dec, size_t words)
 {
     ShardCheckpoint s;
     s.summary.shard = dec.u32("shard id");
@@ -63,7 +57,11 @@ decodeShard(wire::Decoder &dec)
     s.summary.alive = dec.u8("shard alive") != 0;
     s.summary.exhausted = dec.u8("shard exhausted") != 0;
     s.sentTaken = dec.u64vec("shard sent taken words");
+    explore::requireLength("shard sent taken words", words,
+                           s.sentTaken.size());
     s.sentNt = dec.u64vec("shard sent nt words");
+    explore::requireLength("shard sent nt words", words,
+                           s.sentNt.size());
     s.entryMark = dec.u64("shard entry mark");
     s.gotForeign = dec.u8("shard got foreign") != 0;
     s.replayRound = dec.u64("shard replay round");
@@ -79,97 +77,38 @@ saveFleetCheckpoint(const std::string &path,
 {
     fault::site("fleet.checkpoint_write");
 
-    wire::Encoder enc;
-    enc.bytes(magic, sizeof(magic));
-    enc.u32(checkpointVersion);
-    enc.u64(ckpt.configHash);
-    enc.u64(ckpt.masterSeed);
-    enc.u32(ckpt.shards);
-    enc.u64(ckpt.planDigest);
-    enc.u64(ckpt.programFp);
-    enc.u64(ckpt.sessionWord);
-    enc.u64(ckpt.seedsDigest);
-
-    enc.u64(ckpt.rounds);
-    enc.u64(ckpt.runs);
-    enc.u64(ckpt.instructions);
-    enc.u64(ckpt.ntSpawned);
-    enc.u64(ckpt.failedJobs);
-    enc.u64(ckpt.stolenRuns);
-    enc.u32(ckpt.lostWorkers);
-    enc.u32(ckpt.reconnects);
-    enc.u32(ckpt.globalDryRounds);
-
-    enc.u64vec(ckpt.frontierTaken);
-    enc.u64vec(ckpt.frontierNt);
-    enc.u32vec(ckpt.exerciseCounts);
-    enc.u64(ckpt.exerciseRuns);
-
-    pe_assert(ckpt.origins.size() == ckpt.entries.size(),
+    pe_assert(ckpt.origins.size() == ckpt.corpus.size(),
               "fleet checkpoint: origins out of step with entries");
-    enc.u32(static_cast<uint32_t>(ckpt.entries.size()));
-    for (const explore::CorpusEntry &e : ckpt.entries)
-        explore::encodeEntry(enc, e);
-    enc.u32vec(ckpt.origins);
-    enc.u64vec(ckpt.pathWords);
+    explore::writeCheckpointFile(path, kFormat, [&](wire::Encoder &enc) {
+        explore::encodeIdentity(enc, ckpt.identity);
 
-    enc.u32(static_cast<uint32_t>(ckpt.shardStates.size()));
-    for (const ShardCheckpoint &s : ckpt.shardStates)
-        encodeShard(enc, s);
+        enc.u64(ckpt.rounds);
+        enc.u64(ckpt.runs);
+        enc.u64(ckpt.instructions);
+        enc.u64(ckpt.ntSpawned);
+        enc.u64(ckpt.failedJobs);
+        enc.u64(ckpt.stolenRuns);
+        enc.u32(ckpt.lostWorkers);
+        enc.u32(ckpt.reconnects);
+        enc.u32(ckpt.globalDryRounds);
 
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            pe_fatal("cannot write fleet checkpoint '", tmp, "'");
-        os.write(enc.buffer().data(),
-                 static_cast<std::streamsize>(enc.size()));
-        os.flush();
-        if (!os)
-            pe_fatal("write to fleet checkpoint '", tmp, "' failed");
-    }
+        explore::encodeCorpus(enc, ckpt.corpus);
+        enc.u32vec(ckpt.origins);
+        enc.u64vec(ckpt.pathWords);
 
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        pe_fatal("cannot rename fleet checkpoint '", tmp, "' to '",
-                 path, "'");
-    }
+        enc.u32(static_cast<uint32_t>(ckpt.shardStates.size()));
+        for (const ShardCheckpoint &s : ckpt.shardStates)
+            encodeShard(enc, s);
+    });
 }
 
 FleetCheckpoint
 loadFleetCheckpoint(const std::string &path,
                     const isa::Program &program)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        pe_fatal("cannot open fleet checkpoint '", path, "'");
-    std::ostringstream raw;
-    raw << is.rdbuf();
-    const std::string bytes = raw.str();
-
-    FleetCheckpoint ckpt;
-    try {
-        wire::Decoder dec(bytes);
-
-        char m[8];
-        for (size_t i = 0; i < sizeof(m); ++i)
-            m[i] = static_cast<char>(dec.u8("checkpoint magic"));
-        if (std::string(m, sizeof(m)) !=
-            std::string(magic, sizeof(magic))) {
-            pe_fatal("'", path, "' is not a fleet checkpoint");
-        }
-        uint32_t version = dec.u32("checkpoint version");
-        if (version != checkpointVersion) {
-            pe_fatal("fleet checkpoint '", path,
-                     "' version mismatch: expected ",
-                     checkpointVersion, ", found ", version);
-        }
-        ckpt.configHash = dec.u64("config hash");
-        ckpt.masterSeed = dec.u64("master seed");
-        ckpt.shards = dec.u32("shards");
-        ckpt.planDigest = dec.u64("plan digest");
-        ckpt.programFp = dec.u64("program fingerprint");
-        ckpt.sessionWord = dec.u64("session word");
-        ckpt.seedsDigest = dec.u64("seeds digest");
+    FleetCheckpoint ckpt(program);
+    explore::readCheckpointFile(path, kFormat, [&](wire::Decoder &dec) {
+        ckpt.identity = explore::decodeIdentity(dec);
 
         ckpt.rounds = dec.u64("rounds");
         ckpt.runs = dec.u64("runs");
@@ -181,35 +120,20 @@ loadFleetCheckpoint(const std::string &path,
         ckpt.reconnects = dec.u32("reconnects");
         ckpt.globalDryRounds = dec.u32("global dry rounds");
 
-        ckpt.frontierTaken = dec.u64vec("frontier taken words");
-        ckpt.frontierNt = dec.u64vec("frontier nt words");
-        ckpt.exerciseCounts = dec.u32vec("exercise counts");
-        ckpt.exerciseRuns = dec.u64("exercise runs");
-
-        uint32_t nEntries = dec.count("corpus entries");
-        ckpt.entries.reserve(nEntries);
-        for (uint32_t i = 0; i < nEntries; ++i)
-            ckpt.entries.push_back(
-                explore::decodeEntry(dec, program));
+        explore::decodeCorpus(dec, ckpt.corpus, program);
         ckpt.origins = dec.u32vec("entry origins");
+        explore::requireLength("entry origins", ckpt.corpus.size(),
+                               ckpt.origins.size());
         ckpt.pathWords = dec.u64vec("path completion words");
-        if (ckpt.origins.size() != ckpt.entries.size()) {
-            pe_fatal("fleet checkpoint '", path,
-                     "' is inconsistent: ", ckpt.entries.size(),
-                     " entries but ", ckpt.origins.size(),
-                     " origins");
-        }
 
         uint32_t nShards = dec.count("shard states");
+        explore::requireLength("shard states", ckpt.identity.shards,
+                               nShards);
+        const size_t words = ckpt.corpus.frontier().takenWords().size();
         ckpt.shardStates.reserve(nShards);
         for (uint32_t i = 0; i < nShards; ++i)
-            ckpt.shardStates.push_back(decodeShard(dec));
-
-        dec.expectEnd("fleet checkpoint");
-    } catch (const wire::WireError &err) {
-        pe_fatal("fleet checkpoint '", path, "' unreadable (",
-                 wireErrorKindName(err.kind()), "): ", err.what());
-    }
+            ckpt.shardStates.push_back(decodeShard(dec, words));
+    });
     return ckpt;
 }
 

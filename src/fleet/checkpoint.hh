@@ -32,12 +32,12 @@
  *    checkpoint therefore stores the encoded string verbatim, same
  *    as the in-memory replay buffer it restores.
  *
- * Layout: magic + version + identity header (validated field by
- * field on resume, mismatches fatal with expected/found values),
- * then the body in serialize.hh vocabulary.  Writes go temp +
- * atomic-rename so a crash mid-write leaves the previous checkpoint
- * intact; the `fleet.checkpoint_write` fault site lets chaos tests
- * pin that invariant.
+ * Layout: the shared checkpoint file frame (magic + version, temp +
+ * atomic-rename, so a crash mid-write leaves the previous checkpoint
+ * intact), then the SessionIdentity the resuming coordinator
+ * validates, then the body in serialize.hh vocabulary.  The
+ * `fleet.checkpoint_write` fault site lets chaos tests pin the
+ * atomic-write invariant.
  */
 
 #ifndef PE_FLEET_CHECKPOINT_HH
@@ -71,14 +71,12 @@ struct ShardCheckpoint
 /** Everything a restarted coordinator needs to continue a session. */
 struct FleetCheckpoint
 {
-    /** Identity: a resume refuses a checkpoint from another session. */
-    uint64_t configHash = 0;
-    uint64_t masterSeed = 0;
-    uint32_t shards = 0;
-    uint64_t planDigest = 0;
-    uint64_t programFp = 0;
-    uint64_t sessionWord = 0;
-    uint64_t seedsDigest = 0;
+    explicit FleetCheckpoint(const isa::Program &program)
+        : corpus(program)
+    {}
+
+    /** A resume refuses a checkpoint from another session. */
+    explore::SessionIdentity identity;
 
     /** Aggregate counters (FleetResult so far). */
     uint64_t rounds = 0;
@@ -91,18 +89,14 @@ struct FleetCheckpoint
     uint32_t reconnects = 0;
     uint32_t globalDryRounds = 0;
 
-    /** Merged global state (frontier, exercise counts, corpus). */
-    std::vector<uint64_t> frontierTaken;
-    std::vector<uint64_t> frontierNt;
-    std::vector<uint32_t> exerciseCounts;
-    uint64_t exerciseRuns = 0;
-    std::vector<explore::CorpusEntry> entries;
+    /** Merged global state (frontier, exercise counts, entries). */
+    explore::Corpus corpus;
     /** Origin shard per entry (echo-free rebroadcast needs it). */
     std::vector<uint32_t> origins;
 
     /**
-     * Merged prime-path completion words (version 2); empty when the
-     * session ran without the tracker (config.recordEdgeTrace off).
+     * Merged prime-path completion words; empty when the session ran
+     * without the tracker (config.recordEdgeTrace off).
      */
     std::vector<uint64_t> pathWords;
 
@@ -121,10 +115,11 @@ void saveFleetCheckpoint(const std::string &path,
 
 /**
  * Load a checkpoint written by saveFleetCheckpoint.  Validates the
- * magic and version and decodes against @p program's edge universe;
- * throws FatalError naming what is wrong.  Identity fields are
- * returned, not judged — the resuming coordinator compares them
- * against its own session and reports expected/found itself.
+ * magic and version, decodes against @p program's edge universe and
+ * checks that every shard state and bitmap has the size the identity
+ * and the program fix; throws FatalError naming what is wrong.  The
+ * identity is returned, not judged — the resuming coordinator
+ * validates it against its own session.
  */
 FleetCheckpoint loadFleetCheckpoint(const std::string &path,
                                     const isa::Program &program);

@@ -14,12 +14,12 @@
 
 #include <poll.h>
 
-#include "src/analysis/verify.hh"
 #include "src/core/config.hh"
 #include "src/explore/serialize.hh"
 #include "src/fleet/checkpoint.hh"
 #include "src/fleet/transport.hh"
 #include "src/fleet/worker.hh"
+#include "src/support/fnv.hh"
 #include "src/support/status.hh"
 #include "src/support/strutil.hh"
 
@@ -28,19 +28,6 @@ namespace pe::fleet
 
 namespace
 {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnvMix(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 using Clock = std::chrono::steady_clock;
 
@@ -57,23 +44,6 @@ msUntil(Clock::time_point deadline)
     return static_cast<int>(left);
 }
 
-/** The identity every peer (and every checkpoint) must match. */
-FleetIdentity
-fleetIdentityOf(const explore::ExploreOptions &base,
-                const ShardPlan &plan, const isa::Program &program,
-                const std::vector<std::vector<int32_t>> &seeds)
-{
-    FleetIdentity id;
-    id.shards = plan.shards;
-    id.configHash = core::configHash(base.config);
-    id.masterSeed = base.seed;
-    id.planDigest = plan.planDigest;
-    id.programFp = analysis::programFingerprint(program);
-    id.sessionWord = sessionWord(base);
-    id.seedsDigest = seedsDigest(seeds);
-    return id;
-}
-
 } // namespace
 
 ShardPlan
@@ -87,8 +57,8 @@ makeShardPlan(uint64_t configHash, uint64_t masterSeed,
     // Derive per-shard seeds from a stream forked off (configHash,
     // masterSeed) so a config change re-seeds the whole fleet, never
     // just reshuffles it.
-    Rng planRng(masterSeed ^ fnvMix(kFnvOffset, configHash));
-    uint64_t digest = fnvMix(kFnvOffset, configHash);
+    Rng planRng(masterSeed ^ fnvMix(kFnvFleetOffset, configHash));
+    uint64_t digest = fnvMix(kFnvFleetOffset, configHash);
     digest = fnvMix(digest, masterSeed);
     digest = fnvMix(digest, shards);
     digest = fnvMix(digest, seedCount);
@@ -157,6 +127,9 @@ Coordinator::Coordinator(const isa::Program &program,
     shardPlan = makeShardPlan(core::configHash(this->opts.base.config),
                               this->opts.base.seed, this->opts.shards,
                               this->seeds.size());
+    identity = explore::identityOf(this->opts.base, program, this->seeds,
+                                   shardPlan.shards,
+                                   shardPlan.planDigest);
     // Same construction path as every worker's Explorer: the tracker
     // is a pure function of the program (default enumeration caps),
     // so coordinator and shards agree on the path-id space and the
@@ -170,8 +143,6 @@ void
 Coordinator::establishFleet(FleetResult &res)
 {
     size_t words = global.frontier().takenWords().size();
-    FleetIdentity id =
-        fleetIdentityOf(opts.base, shardPlan, program, seeds);
 
     std::vector<WorkerConfig> configs;
     fleet.resize(shardPlan.specs.size());
@@ -183,18 +154,7 @@ Coordinator::establishFleet(FleetResult &res)
         shard.sentNt.assign(words, 0);
 
         WorkerConfig cfg;
-        cfg.expect.wireVersion = wire::kWireVersion;
-        cfg.expect.shard = shard.spec.shard;
-        cfg.expect.shards = shardPlan.shards;
-        cfg.expect.configHash = id.configHash;
-        cfg.expect.masterSeed = opts.base.seed;
-        cfg.expect.shardSeed = shard.spec.shardSeed;
-        cfg.expect.planDigest = shardPlan.planDigest;
-        cfg.expect.programFp = id.programFp;
-        cfg.expect.heartbeatMs =
-            opts.heartbeatMs > 0
-                ? static_cast<uint32_t>(opts.heartbeatMs)
-                : 0;
+        cfg.expect = helloFor(shard);
         cfg.opts = shardWorkerOptions(opts.base,
                                       shard.spec.shardSeed,
                                       shard.spec.shard,
@@ -205,7 +165,7 @@ Coordinator::establishFleet(FleetResult &res)
     }
 
     std::vector<int> fds =
-        transport->establish(id, configs, opts.stopFlag);
+        transport->establish(identity, configs, opts.stopFlag);
     pe_assert(fds.size() == fleet.size(),
               "transport returned the wrong shard count");
     for (size_t s = 0; s < fleet.size(); ++s) {
@@ -226,26 +186,25 @@ Coordinator::establishFleet(FleetResult &res)
             wire::setNonBlocking(shard.fd);
 }
 
+Hello
+Coordinator::helloFor(const Shard &shard) const
+{
+    Hello hello;
+    hello.shard = shard.spec.shard;
+    hello.shardSeed = shard.spec.shardSeed;
+    hello.heartbeatMs =
+        opts.heartbeatMs > 0 ? static_cast<uint32_t>(opts.heartbeatMs)
+                             : 0;
+    hello.identity = identity;
+    return hello;
+}
+
 bool
 Coordinator::handshake(Shard &shard)
 {
-    Hello hello;
-    hello.wireVersion = wire::kWireVersion;
-    hello.shard = shard.spec.shard;
-    hello.shards = shardPlan.shards;
-    hello.configHash = core::configHash(opts.base.config);
-    hello.masterSeed = opts.base.seed;
-    hello.shardSeed = shard.spec.shardSeed;
-    hello.planDigest = shardPlan.planDigest;
-    hello.programFp = analysis::programFingerprint(program);
-    hello.heartbeatMs =
-        opts.heartbeatMs > 0
-            ? static_cast<uint32_t>(opts.heartbeatMs)
-            : 0;
-
     try {
         wire::Encoder enc;
-        encodeHello(enc, hello);
+        encodeHello(enc, helloFor(shard));
         wire::writeFrame(shard.fd, wire::FrameType::Hello,
                          enc.buffer());
 
@@ -893,16 +852,8 @@ Coordinator::maybeCheckpoint(const FleetResult &res)
     if (opts.checkpointPath.empty())
         return;
 
-    FleetCheckpoint ckpt;
-    FleetIdentity id =
-        fleetIdentityOf(opts.base, shardPlan, program, seeds);
-    ckpt.configHash = id.configHash;
-    ckpt.masterSeed = id.masterSeed;
-    ckpt.shards = id.shards;
-    ckpt.planDigest = id.planDigest;
-    ckpt.programFp = id.programFp;
-    ckpt.sessionWord = id.sessionWord;
-    ckpt.seedsDigest = id.seedsDigest;
+    FleetCheckpoint ckpt(program);
+    ckpt.identity = identity;
 
     ckpt.rounds = res.rounds;
     ckpt.runs = res.runs;
@@ -914,11 +865,7 @@ Coordinator::maybeCheckpoint(const FleetResult &res)
     ckpt.reconnects = res.reconnects;
     ckpt.globalDryRounds = globalDryRounds;
 
-    ckpt.frontierTaken = global.frontier().takenWords();
-    ckpt.frontierNt = global.frontier().ntWords();
-    ckpt.exerciseCounts = global.exercise().rawCounts();
-    ckpt.exerciseRuns = global.exercise().runsAccumulated();
-    ckpt.entries = global.entries();
+    ckpt.corpus = global;
     ckpt.origins = origins;
     if (pathTracker)
         ckpt.pathWords = pathTracker->words();
@@ -961,34 +908,25 @@ Coordinator::resumeState(FleetResult &res)
 {
     FleetCheckpoint ckpt =
         loadFleetCheckpoint(opts.resumeFrom, program);
-    FleetIdentity id =
-        fleetIdentityOf(opts.base, shardPlan, program, seeds);
+    // The loader matched the shard-state count to the checkpoint's
+    // own fleet width; validating the identity ties that width to
+    // this session's plan.  Tracker presence is implied by
+    // recordEdgeTrace, inside the config hash.
+    try {
+        explore::validate(identity, ckpt.identity,
+                          "taken in another session");
+        explore::requireLength(
+            "path completion words",
+            pathTracker ? pathTracker->words().size() : 0,
+            ckpt.pathWords.size());
+    } catch (const wire::WireError &err) {
+        explore::refuseCheckpoint("fleet checkpoint", opts.resumeFrom,
+                                  err);
+    }
 
-    auto check = [&](const char *field, uint64_t expected,
-                     uint64_t found) {
-        if (expected != found)
-            pe_fatal("fleet checkpoint '", opts.resumeFrom,
-                     "' belongs to another session: ", field,
-                     " expected ", expected, ", found ", found);
-    };
-    check("config hash", id.configHash, ckpt.configHash);
-    check("master seed", id.masterSeed, ckpt.masterSeed);
-    check("shard count", id.shards, ckpt.shards);
-    check("plan digest", id.planDigest, ckpt.planDigest);
-    check("program fingerprint", id.programFp, ckpt.programFp);
-    check("session word", id.sessionWord, ckpt.sessionWord);
-    check("seeds digest", id.seedsDigest, ckpt.seedsDigest);
-    pe_assert(ckpt.shardStates.size() == shardPlan.specs.size(),
-              "checkpoint shard state count mismatch");
-
-    global.restore(std::move(ckpt.entries), ckpt.frontierTaken,
-                   ckpt.frontierNt, ckpt.exerciseCounts,
-                   ckpt.exerciseRuns);
+    global = std::move(ckpt.corpus);
     origins = std::move(ckpt.origins);
-    // Tracker presence is implied by recordEdgeTrace, which the
-    // config-hash check above already judged; an empty word vector in
-    // the checkpoint means the session ran without the tracker.
-    if (pathTracker && !ckpt.pathWords.empty())
+    if (pathTracker)
         pathTracker->restoreWords(ckpt.pathWords);
 
     res.rounds = ckpt.rounds;
@@ -1038,8 +976,7 @@ Coordinator::resumeState(FleetResult &res)
 void
 Coordinator::reattachFleet(FleetResult &res)
 {
-    transport->prepareResume(
-        fleetIdentityOf(opts.base, shardPlan, program, seeds));
+    transport->prepareResume(identity);
 
     // Bounded wait for the session's workers to redial.  A straggler
     // past the bound is marked dead — degradation, never a hang —
@@ -1340,12 +1277,8 @@ Coordinator::run()
         wire::Encoder enc;
         for (const explore::CorpusEntry &entry : global.entries())
             explore::encodeEntry(enc, entry);
-        uint64_t digest = fnvMix(kFnvOffset, global.size());
-        for (char c : enc.buffer()) {
-            digest ^= static_cast<unsigned char>(c);
-            digest *= kFnvPrime;
-        }
-        res.corpusDigest = digest;
+        res.corpusDigest = fnvBytes(
+            fnvMix(kFnvFleetOffset, global.size()), enc.buffer());
     }
 
     for (const Shard &shard : fleet)

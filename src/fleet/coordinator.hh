@@ -302,6 +302,8 @@ class Coordinator
     };
 
     void establishFleet(FleetResult &res);
+    /** The Hello @p shard receives (and, forked, expects). */
+    Hello helloFor(const Shard &shard) const;
     bool handshake(Shard &shard);
     /** Restore state from opts.resumeFrom; fatal on any mismatch. */
     void resumeState(FleetResult &res);
@@ -346,6 +348,8 @@ class Coordinator
     FleetOptions opts;
     std::shared_ptr<Transport> transport;
     ShardPlan shardPlan;
+    /** What every peer, Hello and checkpoint must match. */
+    explore::SessionIdentity identity;
     explore::Corpus global;
 
     /**

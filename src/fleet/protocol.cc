@@ -5,10 +5,6 @@
 
 #include "src/fleet/protocol.hh"
 
-#include <cstring>
-
-#include "src/explore/explorer.hh"
-#include "src/explore/serialize.hh"
 #include "src/support/status.hh"
 #include "src/support/strutil.hh"
 
@@ -18,17 +14,17 @@ namespace pe::fleet
 namespace
 {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnvMix64(uint64_t h, uint64_t v)
+/** BadVersion unless @p found is the wire version we speak. */
+void
+checkWireVersion(uint32_t found, const std::string &context)
 {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
+    if (found == wire::kWireVersion)
+        return;
+    throw wire::WireError(
+        wire::WireErrorKind::BadVersion,
+        detail::concat(context, ": wire version mismatch: expected ",
+                       wire::kWireVersion, ", found ", found),
+        wire::kWireVersion, found);
 }
 
 void
@@ -85,13 +81,9 @@ encodeHello(wire::Encoder &enc, const Hello &h)
 {
     enc.u32(h.wireVersion);
     enc.u32(h.shard);
-    enc.u32(h.shards);
-    enc.u64(h.configHash);
-    enc.u64(h.masterSeed);
     enc.u64(h.shardSeed);
-    enc.u64(h.planDigest);
-    enc.u64(h.programFp);
     enc.u32(h.heartbeatMs);
+    explore::encodeIdentity(enc, h.identity);
 }
 
 Hello
@@ -100,13 +92,9 @@ decodeHello(wire::Decoder &dec)
     Hello h;
     h.wireVersion = dec.u32("hello wire version");
     h.shard = dec.u32("hello shard");
-    h.shards = dec.u32("hello shards");
-    h.configHash = dec.u64("hello config hash");
-    h.masterSeed = dec.u64("hello master seed");
     h.shardSeed = dec.u64("hello shard seed");
-    h.planDigest = dec.u64("hello plan digest");
-    h.programFp = dec.u64("hello program fingerprint");
     h.heartbeatMs = dec.u32("hello heartbeat interval");
+    h.identity = explore::decodeIdentity(dec);
     return h;
 }
 
@@ -209,14 +197,8 @@ encodeJoin(wire::Encoder &enc, const Join &j)
 {
     enc.u32(j.wireVersion);
     enc.u32(j.desiredShard);
-    enc.u32(j.shards);
-    enc.u64(j.configHash);
-    enc.u64(j.masterSeed);
-    enc.u64(j.planDigest);
-    enc.u64(j.programFp);
-    enc.u64(j.sessionWord);
-    enc.u64(j.seedsDigest);
     enc.u64(j.lastAckedRound);
+    explore::encodeIdentity(enc, j.identity);
 }
 
 Join
@@ -225,105 +207,34 @@ decodeJoin(wire::Decoder &dec)
     Join j;
     j.wireVersion = dec.u32("join wire version");
     j.desiredShard = dec.u32("join desired shard");
-    j.shards = dec.u32("join shards");
-    j.configHash = dec.u64("join config hash");
-    j.masterSeed = dec.u64("join master seed");
-    j.planDigest = dec.u64("join plan digest");
-    j.programFp = dec.u64("join program fingerprint");
-    j.sessionWord = dec.u64("join session word");
-    j.seedsDigest = dec.u64("join seeds digest");
     j.lastAckedRound = dec.u64("join last acked round");
+    j.identity = explore::decodeIdentity(dec);
     return j;
 }
 
-uint64_t
-sessionWord(const explore::ExploreOptions &opts)
-{
-    uint64_t h = fnvMix64(kFnvOffset, explore::policyWord(opts));
-    h = fnvMix64(h, opts.batchSize);
-    // The percentile is a double; its bit pattern is what two
-    // processes must agree on, not some rounded rendering.
-    uint64_t pct;
-    static_assert(sizeof(pct) == sizeof(opts.rarePercentile));
-    std::memcpy(&pct, &opts.rarePercentile, sizeof(pct));
-    return fnvMix64(h, pct);
-}
-
-uint64_t
-seedsDigest(const std::vector<std::vector<int32_t>> &seeds)
-{
-    uint64_t h = fnvMix64(kFnvOffset, seeds.size());
-    for (const auto &seed : seeds) {
-        h = fnvMix64(h, seed.size());
-        for (int32_t v : seed)
-            h = fnvMix64(h, static_cast<uint32_t>(v));
-    }
-    return h;
-}
-
 void
-validateJoin(const Join &got, const Join &want)
+validateJoin(const Join &got, const explore::SessionIdentity &want)
 {
-    if (got.wireVersion != want.wireVersion) {
-        throw wire::WireError(
-            wire::WireErrorKind::BadVersion,
-            detail::concat("fleet join: wire version mismatch: "
-                           "expected ", want.wireVersion, ", found ",
-                           got.wireVersion),
-            want.wireVersion, got.wireVersion);
-    }
-    auto check = [&](uint64_t wantV, uint64_t gotV,
-                     const char *field) {
-        if (wantV == gotV)
-            return;
-        throw wire::WireError(
-            wire::WireErrorKind::Mismatch,
-            detail::concat("fleet join: ", field,
-                           " mismatch: expected 0x", fmtHex(wantV),
-                           ", found 0x", fmtHex(gotV)),
-            wantV, gotV);
-    };
-    check(want.shards, got.shards, "fleet width");
-    check(want.configHash, got.configHash, "config hash");
-    check(want.masterSeed, got.masterSeed, "master seed");
-    check(want.planDigest, got.planDigest, "plan digest");
-    check(want.programFp, got.programFp, "program fingerprint");
-    check(want.sessionWord, got.sessionWord, "session word");
-    check(want.seedsDigest, got.seedsDigest, "seeds digest");
+    checkWireVersion(got.wireVersion, "fleet join");
+    explore::validate(want, got.identity, "fleet join");
 }
 
 void
 validateHello(const Hello &got, const Hello &want)
 {
-    auto shardCtx = [&](const char *field) {
-        return detail::concat("fleet hello for shard ", want.shard,
-                              ": ", field);
-    };
-    if (got.wireVersion != want.wireVersion) {
-        throw wire::WireError(
-            wire::WireErrorKind::BadVersion,
-            detail::concat(shardCtx("wire version"), " mismatch: "
-                           "expected ", want.wireVersion, ", found ",
-                           got.wireVersion),
-            want.wireVersion, got.wireVersion);
-    }
-    auto check = [&](uint64_t wantV, uint64_t gotV,
-                     const char *field) {
-        if (wantV == gotV)
-            return;
+    const std::string context =
+        detail::concat("fleet hello for shard ", want.shard);
+    checkWireVersion(got.wireVersion, context);
+    if (got.shard != want.shard || got.shardSeed != want.shardSeed) {
         throw wire::WireError(
             wire::WireErrorKind::Mismatch,
-            detail::concat(shardCtx(field), " mismatch: expected 0x",
-                           fmtHex(wantV), ", found 0x", fmtHex(gotV)),
-            wantV, gotV);
-    };
-    check(want.shard, got.shard, "shard id");
-    check(want.shards, got.shards, "fleet width");
-    check(want.configHash, got.configHash, "config hash");
-    check(want.masterSeed, got.masterSeed, "master seed");
-    check(want.shardSeed, got.shardSeed, "shard seed");
-    check(want.planDigest, got.planDigest, "plan digest");
-    check(want.programFp, got.programFp, "program fingerprint");
+            detail::concat(context, ": shard assignment mismatch: "
+                           "expected shard ", want.shard, " seed ",
+                           fmtHex(want.shardSeed), ", found shard ",
+                           got.shard, " seed ", fmtHex(got.shardSeed)),
+            want.shardSeed, got.shardSeed);
+    }
+    explore::validate(want.identity, got.identity, context);
 }
 
 SparseWords

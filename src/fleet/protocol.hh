@@ -4,8 +4,8 @@
  * pipe, and in which direction.
  *
  * The protocol is round-based and delta-sized.  After a Hello /
- * HelloReply negotiation (wire version, shard identity, config hash,
- * plan digest, program fingerprint — every field that would make two
+ * HelloReply negotiation (wire version, shard assignment and the
+ * explore::SessionIdentity — every field that would make two
  * processes silently explore different universes), each round is one
  * RoundStart (budget + merged-frontier delta + newly admitted foreign
  * corpus entries) answered by one RoundDelta (runs executed + local
@@ -23,13 +23,9 @@
 #include <vector>
 
 #include "src/explore/corpus.hh"
+#include "src/explore/serialize.hh"
 #include "src/fleet/wire.hh"
 #include "src/isa/program.hh"
-
-namespace pe::explore
-{
-struct ExploreOptions;
-}
 
 namespace pe::fleet
 {
@@ -39,12 +35,7 @@ struct Hello
 {
     uint32_t wireVersion = wire::kWireVersion;
     uint32_t shard = 0;         //!< receiver's shard id
-    uint32_t shards = 0;        //!< fleet width
-    uint64_t configHash = 0;    //!< core::configHash of every run
-    uint64_t masterSeed = 0;    //!< the fleet-level seed
     uint64_t shardSeed = 0;     //!< this shard's derived seed
-    uint64_t planDigest = 0;    //!< ShardPlan identity
-    uint64_t programFp = 0;     //!< analysis::programFingerprint
 
     /**
      * Heartbeat interval the coordinator runs its liveness machine
@@ -54,6 +45,8 @@ struct Hello
      * without perturbing the session's digests.
      */
     uint32_t heartbeatMs = 0;
+
+    explore::SessionIdentity identity;
 };
 
 /** Worker -> coordinator: negotiation accepted. */
@@ -70,27 +63,20 @@ constexpr uint32_t kAnyShard = 0xffffffffu;
 
 /**
  * Dialing worker -> coordinator, before anything else (TCP transport
- * only; forked workers inherit their identity by memory and skip
- * straight to Hello).  Carries everything a remote process derived
- * on its own — config hash, plan digest, program fingerprint, the
- * session word and the seeds digest — so the coordinator can refuse
- * a peer exploring a different universe before assigning it a shard.
- * On reconnect, desiredShard pins the old slot and lastAckedRound
- * names the last round this worker sent a delta for; the coordinator
- * replays the RoundStart the worker missed.
+ * only; a forked worker's first frame is the Hello it receives).
+ * Carries the session identity the remote process derived on its
+ * own, so the coordinator can refuse a peer exploring a different
+ * universe before assigning it a shard.  On reconnect, desiredShard
+ * pins the old slot and lastAckedRound names the last round this
+ * worker sent a delta for; the coordinator replays the RoundStart
+ * the worker missed.
  */
 struct Join
 {
     uint32_t wireVersion = wire::kWireVersion;
     uint32_t desiredShard = kAnyShard;
-    uint32_t shards = 0;
-    uint64_t configHash = 0;
-    uint64_t masterSeed = 0;
-    uint64_t planDigest = 0;
-    uint64_t programFp = 0;
-    uint64_t sessionWord = 0;   //!< fleet::sessionWord of the options
-    uint64_t seedsDigest = 0;   //!< fleet::seedsDigest of the inputs
     uint64_t lastAckedRound = 0;
+    explore::SessionIdentity identity;
 };
 
 /**
@@ -173,37 +159,21 @@ void encodeJoin(wire::Encoder &enc, const Join &j);
 Join decodeJoin(wire::Decoder &dec);
 
 /**
- * Everything about the exploration contract that Hello's configHash
- * does *not* cover but that changes worker behavior: the scheduling
- * policy word, the batch size and the rarity percentile.  A TCP
- * worker built from its own command line must agree on these with
- * the coordinator or the merged digests silently diverge — so the
- * Join handshake validates the word instead of trusting the flags.
- */
-uint64_t sessionWord(const explore::ExploreOptions &opts);
-
-/**
- * FNV-1a over the fleet's seed inputs (count, lengths, values).  The
- * shard plan deals seed *indices*; this digest is what guarantees a
- * remote worker's seed list holds the same bytes at those indices.
- */
-uint64_t seedsDigest(const std::vector<std::vector<int32_t>> &seeds);
-
-/**
  * Compare a dialing peer's Join against this fleet's identity
  * (desiredShard and lastAckedRound are negotiation, not identity,
  * and are checked by the coordinator instead).  Throws
  * wire::WireError — BadVersion / Mismatch — naming the disagreeing
  * field with expected and found values.
  */
-void validateJoin(const Join &got, const Join &want);
+void validateJoin(const Join &got, const explore::SessionIdentity &want);
 
 /**
- * Compare a received Hello against what this worker was forked to
- * expect.  Throws wire::WireError — BadVersion for a protocol
- * revision we do not speak, Mismatch for identity fields — with the
- * expected and found values and the shard id in the message, so a
- * misassembled fleet names the exact disagreeing knob.
+ * Compare a received Hello against what this worker expects: the
+ * wire version, its shard assignment and the session identity.
+ * Throws wire::WireError — BadVersion for a protocol revision we do
+ * not speak, Mismatch otherwise — with the expected and found values
+ * and the shard id in the message, so a misassembled fleet names the
+ * exact disagreeing knob.
  */
 void validateHello(const Hello &got, const Hello &want);
 

@@ -61,24 +61,10 @@ sendErrorBestEffort(int fd, const std::string &message)
 
 } // namespace
 
-Join
-FleetIdentity::asJoin() const
-{
-    Join j;
-    j.shards = shards;
-    j.configHash = configHash;
-    j.masterSeed = masterSeed;
-    j.planDigest = planDigest;
-    j.programFp = programFp;
-    j.sessionWord = sessionWord;
-    j.seedsDigest = seedsDigest;
-    return j;
-}
-
 // --- ForkTransport ---------------------------------------------------
 
 std::vector<int>
-ForkTransport::establish(const FleetIdentity &id,
+ForkTransport::establish(const explore::SessionIdentity &id,
                          const std::vector<WorkerConfig> &configs,
                          const std::atomic<bool> *stopFlag)
 {
@@ -222,7 +208,7 @@ TcpTransport::acceptOne(
         wire::Decoder dec(frame->payload);
         got = decodeJoin(dec);
         dec.expectEnd("join");
-        validateJoin(got, identity.asJoin());
+        validateJoin(got, identity);
     } catch (const wire::WireError &err) {
         if (status)
             *status << "[fleet] refused tcp peer: " << err.what()
@@ -276,7 +262,7 @@ TcpTransport::acceptOne(
 }
 
 std::vector<int>
-TcpTransport::establish(const FleetIdentity &id,
+TcpTransport::establish(const explore::SessionIdentity &id,
                         const std::vector<WorkerConfig> &configs,
                         const std::atomic<bool> *stopFlag)
 {
@@ -311,7 +297,7 @@ TcpTransport::establish(const FleetIdentity &id,
 }
 
 void
-TcpTransport::prepareResume(const FleetIdentity &id)
+TcpTransport::prepareResume(const explore::SessionIdentity &id)
 {
     identity = id;
     // Every slot was held by the dead coordinator's session; the

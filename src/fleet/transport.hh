@@ -15,13 +15,12 @@
  *
  *  - TcpTransport — the coordinator binds a listening socket and
  *    remote `explore --connect host:port` processes dial in.  Each
- *    dialing peer opens with a Join frame carrying everything it
- *    derived on its own (config hash, plan digest, program
- *    fingerprint, session word, seeds digest); the transport refuses
- *    mismatched peers before a shard is assigned.  Reconnect is
- *    first-class: a worker whose connection drops dials again with
- *    its shard id and last acked round, and the coordinator replays
- *    the RoundStart it missed.
+ *    dialing peer opens with a Join frame carrying the session
+ *    identity it derived on its own (explore::SessionIdentity); the
+ *    transport refuses mismatched peers before a shard is assigned.
+ *    Reconnect is first-class: a worker whose connection drops dials
+ *    again with its shard id and last acked round, and the
+ *    coordinator replays the RoundStart it missed.
  *
  * Either way the coordinator ends up holding one fd per shard and
  * runs the identical Hello/HelloReply handshake and round protocol
@@ -46,24 +45,6 @@
 
 namespace pe::fleet
 {
-
-/**
- * What every peer must agree on before it may hold a shard — the
- * coordinator's side of Join validation.
- */
-struct FleetIdentity
-{
-    uint32_t shards = 0;
-    uint64_t configHash = 0;
-    uint64_t masterSeed = 0;
-    uint64_t planDigest = 0;
-    uint64_t programFp = 0;
-    uint64_t sessionWord = 0;
-    uint64_t seedsDigest = 0;
-
-    /** The Join frame a matching peer would send. */
-    Join asJoin() const;
-};
 
 /** A peer (re)attached to a shard slot by acceptPeer(). */
 struct PeerJoin
@@ -95,7 +76,7 @@ class Transport
      * throws FatalError if the fleet cannot form.
      */
     virtual std::vector<int>
-    establish(const FleetIdentity &id,
+    establish(const explore::SessionIdentity &id,
               const std::vector<WorkerConfig> &configs,
               const std::atomic<bool> *stopFlag) = 0;
 
@@ -128,7 +109,7 @@ class Transport
      * because fork workers die with the coordinator and there is
      * nothing left to re-attach.
      */
-    virtual void prepareResume(const FleetIdentity &id)
+    virtual void prepareResume(const explore::SessionIdentity &id)
     {
         (void)id;
         pe_fatal("fleet resume requires a transport with reconnect "
@@ -156,7 +137,7 @@ class ForkTransport final : public Transport
 
     const char *name() const override { return "fork"; }
     std::vector<int>
-    establish(const FleetIdentity &id,
+    establish(const explore::SessionIdentity &id,
               const std::vector<WorkerConfig> &configs,
               const std::atomic<bool> *stopFlag) override;
     void closeChannel(uint32_t shard) override;
@@ -186,12 +167,12 @@ class TcpTransport final : public Transport
 
     const char *name() const override { return "tcp"; }
     std::vector<int>
-    establish(const FleetIdentity &id,
+    establish(const explore::SessionIdentity &id,
               const std::vector<WorkerConfig> &configs,
               const std::atomic<bool> *stopFlag) override;
     int acceptFd() const override { return listenSock; }
     bool supportsReconnect() const override { return true; }
-    void prepareResume(const FleetIdentity &id) override;
+    void prepareResume(const explore::SessionIdentity &id) override;
     std::optional<PeerJoin>
     acceptPeer(const std::function<bool(uint32_t, bool)> &mayJoin)
         override;
@@ -202,7 +183,7 @@ class TcpTransport final : public Transport
     std::optional<PeerJoin>
     acceptOne(const std::function<bool(uint32_t, bool)> &mayJoin);
 
-    FleetIdentity identity;
+    explore::SessionIdentity identity;
     std::ostream *status = nullptr;
     int listenSock = -1;
     uint16_t boundPort = 0;

@@ -44,9 +44,11 @@ namespace pe::wire
  * reconnect/resume); v3 added the Heartbeat/HeartbeatAck liveness
  * frames and the heartbeat interval in Hello; v4 appended the
  * prime-path completion words to RoundStart/RoundDelta (empty when
- * the path tracker is off).  The v1 frame layouts are unchanged.
+ * the path tracker is off); v5 made Hello and Join carry the one
+ * explore::SessionIdentity (Hello gained the session word and the
+ * seeds digest).  The round frame layouts are unchanged since v4.
  */
-constexpr uint32_t kWireVersion = 4;
+constexpr uint32_t kWireVersion = 5;
 
 /** Why a decode was refused. */
 enum class WireErrorKind : uint8_t

@@ -16,12 +16,12 @@
 
 #include <unistd.h>
 
-#include "src/analysis/verify.hh"
 #include "src/core/config.hh"
 #include "src/explore/serialize.hh"
 #include "src/fleet/coordinator.hh"
 #include "src/fleet/transport.hh"
 #include "src/support/faultinject.hh"
+#include "src/support/fnv.hh"
 #include "src/support/status.hh"
 
 namespace pe::fleet
@@ -342,13 +342,7 @@ dialBackoffMs(uint64_t seedWord, uint64_t attempt, int baseMs,
     // the raw wait is shaved off, so the delay lands in
     // [raw/2, raw] and two workers with different seeds desynchronize
     // while reruns stay byte-identical.
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t v : {seedWord, attempt}) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
+    uint64_t h = fnvMix(fnvMix(kFnvFleetOffset, seedWord), attempt);
     uint64_t delay = raw - h % (raw / 2 + 1);
     if (delay < 1)
         delay = 1;
@@ -455,20 +449,15 @@ remoteWorkerMain(const isa::Program &program,
     // function of (configHash, masterSeed, shards, seedCount), so a
     // worker on another host computes the same plan — and the Join
     // handshake proves it did.
-    const uint64_t cfgHash = core::configHash(options.base.config);
-    const ShardPlan plan =
-        makeShardPlan(cfgHash, options.base.seed, options.shards,
-                      options.seeds.size());
+    const ShardPlan plan = makeShardPlan(
+        core::configHash(options.base.config), options.base.seed,
+        options.shards, options.seeds.size());
+    const explore::SessionIdentity identity =
+        explore::identityOf(options.base, program, options.seeds,
+                            plan.shards, plan.planDigest);
 
     Join join;
-    join.desiredShard = kAnyShard;
-    join.shards = options.shards;
-    join.configHash = cfgHash;
-    join.masterSeed = options.base.seed;
-    join.planDigest = plan.planDigest;
-    join.programFp = analysis::programFingerprint(program);
-    join.sessionWord = sessionWord(options.base);
-    join.seedsDigest = seedsDigest(options.seeds);
+    join.identity = identity;
 
     // Declared before the explorer so the onRun lambda capturing it
     // never outlives it.
@@ -479,7 +468,8 @@ remoteWorkerMain(const isa::Program &program,
 
     // Backoff is seeded off the session identity: every worker of
     // one fleet jitters differently, every rerun identically.
-    const uint64_t backoffSeed = cfgHash ^ options.base.seed;
+    const uint64_t backoffSeed =
+        identity.configHash ^ identity.masterSeed;
     uint64_t failStreak = 0;
     int dialsLeft = options.dialAttempts;
     uint64_t lastDropRound = ~0ull;
@@ -547,13 +537,8 @@ remoteWorkerMain(const isa::Program &program,
 
                 Hello want;
                 want.shard = hello.shard;
-                want.shards = options.shards;
-                want.configHash = cfgHash;
-                want.masterSeed = options.base.seed;
-                want.shardSeed =
-                    plan.specs[hello.shard].shardSeed;
-                want.planDigest = plan.planDigest;
-                want.programFp = join.programFp;
+                want.shardSeed = plan.specs[hello.shard].shardSeed;
+                want.identity = identity;
                 validateHello(hello, want);
 
                 shard = hello.shard;

@@ -42,8 +42,8 @@ constexpr uint64_t kUnboundedRuns = ~0ull / 2;
  * streams stay with the coordinator, and the label gains a /shardN
  * suffix.  Both the forking coordinator and a remote `--connect`
  * worker MUST build their options through this one function — it is
- * the code-level half of the determinism contract (the Join
- * handshake's sessionWord is the wire-level half).
+ * the code-level half of the determinism contract (the session
+ * identity in Join and Hello is the wire-level half).
  */
 explore::ExploreOptions
 shardWorkerOptions(const explore::ExploreOptions &base,

@@ -21,6 +21,7 @@
 #include "src/analysis/verify.hh"
 #include "src/core/engine.hh"
 #include "src/explore/explorer.hh"
+#include "src/explore/serialize.hh"
 #include "src/isa/assembler.hh"
 #include "src/isa/regs.hh"
 #include "src/minic/compiler.hh"
@@ -420,17 +421,22 @@ TEST(Priors, CheckpointRefusesPriorSettingMismatch)
         head.run();
     }
 
-    // Set the retired prior bit in the checkpoint: the policy word is
-    // the little-endian u32 after magic, version, config hash, seed
-    // and program fingerprint (8 + 4 + 8 + 8 + 8 = 36 bytes).
+    // Set the retired prior bit.  The policy word is folded into the
+    // session word, the little-endian u64 after magic, version, config
+    // hash, seed and program fingerprint (8 + 4 + 8 + 8 + 8 = 36
+    // bytes); a policy word with bit 0x100 set yields another session
+    // word, which flipping one bit of the stored word stands in for.
     std::string bytes;
     {
         std::ifstream is(ckpt.path, std::ios::binary);
         bytes.assign(std::istreambuf_iterator<char>(is), {});
     }
-    ASSERT_GT(bytes.size(), 40u);
-    ASSERT_EQ(bytes[37], 0);
-    bytes[37] = 0x01;
+    ASSERT_GT(bytes.size(), 44u);
+    uint64_t stored = 0;
+    for (int i = 7; i >= 0; --i)
+        stored = (stored << 8) | static_cast<uint8_t>(bytes[36 + i]);
+    ASSERT_EQ(stored, explore::sessionWord(exploreOptions(27)));
+    bytes[37] ^= 0x01;
     {
         std::ofstream os(ckpt.path, std::ios::binary | std::ios::trunc);
         os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <map>
 #include <new>
 #include <set>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "src/explore/explorer.hh"
 #include "src/fleet/checkpoint.hh"
 #include "src/fleet/coordinator.hh"
+#include "src/fleet/wire.hh"
 #include "src/minic/compiler.hh"
 #include "src/support/faultinject.hh"
 #include "src/support/status.hh"
@@ -598,6 +600,280 @@ TEST(Checkpoint, MismatchedSessionIsFatal)
         explore::Explorer e(program, scheduleSeeds(workload), opts);
         EXPECT_THROW(e.run(), FatalError);
     }
+
+    // Knobs outside the config hash that still change what the
+    // session does: each must be refused, naming the field.
+    auto expectRefused = [&](const explore::ExploreOptions &changed,
+                             std::vector<std::vector<int32_t>> seeds,
+                             const char *field) {
+        auto opts = changed;
+        opts.resumeFrom = ckpt.path;
+        explore::Explorer e(program, std::move(seeds), opts);
+        try {
+            e.run();
+            ADD_FAILURE() << "resume accepted a changed " << field;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(field),
+                      std::string::npos)
+                << err.what();
+        }
+    };
+    {
+        auto opts = exploreOptions(59);
+        opts.batchSize = 16;
+        expectRefused(opts, scheduleSeeds(workload), "session word");
+    }
+    {
+        auto opts = exploreOptions(59);
+        opts.rarePercentile = 0.5;
+        expectRefused(opts, scheduleSeeds(workload), "session word");
+    }
+    {
+        auto opts = exploreOptions(59);
+        opts.mutator.maxLength = 64;
+        expectRefused(opts, scheduleSeeds(workload), "session word");
+    }
+    {   // Same count of seeds, one value changed.
+        auto seeds = scheduleSeeds(workload);
+        ASSERT_FALSE(seeds.back().empty());
+        seeds.back().back() += 1;
+        expectRefused(exploreOptions(59), seeds, "seeds digest");
+    }
+    {   // One seed fewer.
+        auto seeds = scheduleSeeds(workload);
+        seeds.pop_back();
+        expectRefused(exploreOptions(59), seeds, "seeds digest");
+    }
+    {   // The worker count is not identity: this resume goes through.
+        auto opts = exploreOptions(59);
+        opts.threads = 3;
+        opts.resumeFrom = ckpt.path;
+        explore::Explorer e(program, scheduleSeeds(workload), opts);
+        EXPECT_NO_THROW(e.run());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile checkpoint bytes: every refusal is a FatalError, never an
+// assertion abort inside a restore.
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), {}};
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** A vector as the checkpoint codec lays it out: u32 count, elements. */
+struct VectorSite
+{
+    size_t offset = 0;
+    size_t elemSize = 0;
+    uint32_t count = 0;
+};
+
+/**
+ * The encodings of vectors whose length the program fixes, to be
+ * found in checkpoint bytes.  All-zero vectors are left out: their
+ * encoding (a small count and a run of zero bytes) also matches
+ * inside ordinary counters, and the same fields elsewhere in the file
+ * carry nonzero words anyway.
+ */
+struct SizedVectors
+{
+    std::set<std::pair<std::string, size_t>> encoded;
+
+    void
+    add(const std::vector<uint64_t> &v)
+    {
+        addIfNonzero(v, 8);
+    }
+
+    void
+    add(const std::vector<uint32_t> &v)
+    {
+        addIfNonzero(v, 4);
+    }
+
+    /** Every offset in @p bytes where one of the vectors is encoded. */
+    std::vector<VectorSite>
+    sites(const std::string &bytes) const
+    {
+        std::map<size_t, VectorSite> found;
+        for (const auto &[enc, elemSize] : encoded) {
+            for (size_t at = bytes.find(enc); at != std::string::npos;
+                 at = bytes.find(enc, at + 1)) {
+                VectorSite site;
+                site.offset = at;
+                site.elemSize = elemSize;
+                site.count = static_cast<uint32_t>(
+                    (enc.size() - 4) / elemSize);
+                found[at] = site;
+            }
+        }
+        std::vector<VectorSite> out;
+        for (const auto &[at, site] : found)
+            out.push_back(site);
+        return out;
+    }
+
+  private:
+    template <typename T>
+    void
+    addIfNonzero(const std::vector<T> &v, size_t elemSize)
+    {
+        bool zero = true;
+        for (T x : v)
+            zero = zero && x == 0;
+        if (zero)
+            return;
+        wire::Encoder enc;
+        if constexpr (sizeof(T) == 8)
+            enc.u64vec(v);
+        else
+            enc.u32vec(v);
+        encoded.insert({enc.take(), elemSize});
+    }
+};
+
+/** @p bytes with the vector at @p site one element shorter. */
+std::string
+shortenVector(const std::string &bytes, const VectorSite &site)
+{
+    wire::Encoder count;
+    count.u32(site.count - 1);
+    const size_t data = site.offset + 4;
+    std::string out = bytes.substr(0, site.offset) + count.buffer();
+    out.append(bytes, data, site.elemSize * (site.count - 1));
+    out.append(bytes, data + site.elemSize * site.count);
+    return out;
+}
+
+/** A few branches, so checkpoints stay small enough to sweep. */
+const char *sweepSource = R"(
+int main() {
+    int n = read_int();
+    int k = read_int();
+    int acc = 0;
+    if (n > 3) { acc = acc + 1; }
+    if (k == 7) { acc = acc + 2; }
+    if (n < k) { if (acc > 0) { acc = acc * 2; } }
+    print_int(acc);
+    return 0;
+}
+)";
+
+const std::vector<std::vector<int32_t>> sweepSeeds = {{1, 2}, {5, 7}};
+
+explore::ExploreOptions
+sweepOptions()
+{
+    explore::ExploreOptions opts;
+    opts.config = core::PeConfig::forMode(core::PeMode::Standard);
+    opts.config.recordEdgeTrace = true;
+    opts.budget.maxRuns = 14;
+    opts.batchSize = 4;
+    opts.seed = 0x5eed;
+    return opts;
+}
+
+/** Resume an explorer from @p path with nothing left to run. */
+void
+resumeExplorer(const isa::Program &program, const std::string &path,
+               uint64_t runs)
+{
+    auto opts = sweepOptions();
+    opts.budget.maxRuns = runs;
+    opts.resumeFrom = path;
+    explore::Explorer e(program, sweepSeeds, opts);
+    e.run();
+}
+
+TEST(Checkpoint, ShortFrontierVectorIsFatal)
+{
+    const auto &workload = workloads::getWorkload("schedule");
+    auto program = minic::compile(workload.source, "schedule");
+    TempPath ckpt("pe_short_frontier.ckpt");
+
+    auto opts = exploreOptions(27);
+    opts.checkpointPath = ckpt.path;
+    explore::Explorer head(program, scheduleSeeds(workload), opts);
+    head.run();
+
+    // The frontier's taken words come first of the sized vectors.
+    SizedVectors frontier;
+    frontier.add(head.corpus().frontier().takenWords());
+    const std::string bytes = readBytes(ckpt.path);
+    auto sites = frontier.sites(bytes);
+    ASSERT_FALSE(sites.empty());
+    writeBytes(ckpt.path, shortenVector(bytes, sites.front()));
+
+    auto resumeOpts = exploreOptions(59);
+    resumeOpts.resumeFrom = ckpt.path;
+    explore::Explorer tail(program, scheduleSeeds(workload), resumeOpts);
+    try {
+        tail.run();
+        FAIL() << "a short frontier vector was accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("frontier taken words"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+/**
+ * Every strict prefix of an explorer checkpoint, and every
+ * universe-sized vector shortened by one element together with its
+ * count, must end in FatalError.  The resume budget equals the
+ * checkpoint's runs, so nothing executes.
+ */
+TEST(CheckpointSweep, ExplorerTruncationsAndShortVectorsAreFatal)
+{
+    auto program = minic::compile(sweepSource, "sweep");
+    TempPath ckpt("pe_sweep_explorer.ckpt");
+    TempPath probe("pe_sweep_explorer_probe.ckpt");
+
+    auto opts = sweepOptions();
+    opts.checkpointPath = ckpt.path;
+    explore::Explorer head(program, sweepSeeds, opts);
+    const uint64_t runs = head.run().runs;
+
+    const std::string bytes = readBytes(ckpt.path);
+    writeBytes(probe.path, bytes);
+    ASSERT_NO_THROW(resumeExplorer(program, probe.path, runs));
+
+    for (size_t len = 0; len < bytes.size(); ++len) {
+        writeBytes(probe.path, bytes.substr(0, len));
+        EXPECT_THROW(resumeExplorer(program, probe.path, runs),
+                     FatalError)
+            << "prefix of " << len << " bytes";
+    }
+
+    SizedVectors sized;
+    sized.add(head.corpus().frontier().takenWords());
+    sized.add(head.corpus().frontier().ntWords());
+    sized.add(head.corpus().exercise().rawCounts());
+    for (const explore::CorpusEntry &e : head.corpus().entries()) {
+        sized.add(e.coverage.takenWords());
+        sized.add(e.coverage.ntWords());
+    }
+    ASSERT_NE(head.pathTracker(), nullptr);
+    sized.add(head.pathTracker()->words());
+    const auto sites = sized.sites(bytes);
+    EXPECT_GE(sites.size(), 4u + head.corpus().size());
+    for (const VectorSite &site : sites) {
+        writeBytes(probe.path, shortenVector(bytes, site));
+        EXPECT_THROW(resumeExplorer(program, probe.path, runs),
+                     FatalError)
+            << "vector at offset " << site.offset;
+    }
 }
 
 TEST(Explorer, StopFlagInterruptsAtBatchBoundary)
@@ -706,7 +982,7 @@ TEST(FleetCheckpointChaos, WriteFailureIsAWarningNeverAnAbort)
         fleet::loadFleetCheckpoint(ckpt.path, program);
     EXPECT_EQ(survivor.rounds, 1u)
         << "a failed write must leave the previous checkpoint intact";
-    EXPECT_EQ(survivor.shards, 3u);
+    EXPECT_EQ(survivor.identity.shards, 3u);
     ASSERT_EQ(survivor.shardStates.size(), 3u);
 }
 
@@ -786,6 +1062,101 @@ TEST(FleetCheckpointChaos, ResumeRefusesForeignCorruptOrMissingState)
     EXPECT_THROW(fleet::loadFleetCheckpoint(
                      ckpt.path + ".nonexistent", program),
                  FatalError);
+}
+
+TEST(FleetCheckpointChaos, ShortFrontierVectorIsFatal)
+{
+    const auto &workload = workloads::getWorkload("schedule");
+    auto program = minic::compile(workload.source, "schedule");
+    TempPath ckpt("pe_fleet_short_frontier.ckpt");
+
+    auto opts = chaosFleetOptions(120, 0x42);
+    opts.checkpointPath = ckpt.path;
+    const uint64_t runs =
+        fleet::runFleet(program, workload.benignInputs, opts).runs;
+
+    SizedVectors frontier;
+    frontier.add(fleet::loadFleetCheckpoint(ckpt.path, program)
+                     .corpus.frontier()
+                     .takenWords());
+    const std::string bytes = readBytes(ckpt.path);
+    auto sites = frontier.sites(bytes);
+    ASSERT_FALSE(sites.empty());
+    writeBytes(ckpt.path, shortenVector(bytes, sites.front()));
+
+    // The budget is spent, so a resume that got past the checkpoint
+    // would stop before contacting any worker.
+    auto resumeOpts = chaosFleetOptions(runs, 0x42);
+    resumeOpts.resumeFrom = ckpt.path;
+    try {
+        fleet::runFleet(program, workload.benignInputs, resumeOpts);
+        FAIL() << "a short frontier vector was accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("frontier taken words"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+fleet::FleetOptions
+sweepFleetOptions(uint64_t maxRuns)
+{
+    fleet::FleetOptions opts;
+    opts.base = sweepOptions();
+    opts.base.budget.maxRuns = maxRuns;
+    opts.shards = 2;
+    opts.workerThreads = 1;
+    return opts;
+}
+
+/** The fleet twin of ExplorerTruncationsAndShortVectorsAreFatal. */
+TEST(CheckpointSweep, FleetTruncationsAndShortVectorsAreFatal)
+{
+    auto program = minic::compile(sweepSource, "sweep");
+    TempPath ckpt("pe_sweep_fleet.ckpt");
+    TempPath probe("pe_sweep_fleet_probe.ckpt");
+
+    auto opts = sweepFleetOptions(16);
+    opts.checkpointPath = ckpt.path;
+    const uint64_t runs = fleet::runFleet(program, sweepSeeds, opts).runs;
+
+    auto resume = [&] {
+        auto resumeOpts = sweepFleetOptions(runs);
+        resumeOpts.resumeFrom = probe.path;
+        fleet::runFleet(program, sweepSeeds, resumeOpts);
+    };
+    const std::string bytes = readBytes(ckpt.path);
+    writeBytes(probe.path, bytes);
+    ASSERT_NO_THROW(resume());
+
+    for (size_t len = 0; len < bytes.size(); ++len) {
+        writeBytes(probe.path, bytes.substr(0, len));
+        EXPECT_THROW(resume(), FatalError) << "prefix of " << len
+                                           << " bytes";
+    }
+
+    const fleet::FleetCheckpoint good =
+        fleet::loadFleetCheckpoint(ckpt.path, program);
+    SizedVectors sized;
+    sized.add(good.corpus.frontier().takenWords());
+    sized.add(good.corpus.frontier().ntWords());
+    sized.add(good.corpus.exercise().rawCounts());
+    for (const explore::CorpusEntry &e : good.corpus.entries()) {
+        sized.add(e.coverage.takenWords());
+        sized.add(e.coverage.ntWords());
+    }
+    sized.add(good.pathWords);
+    for (const fleet::ShardCheckpoint &shard : good.shardStates) {
+        sized.add(shard.sentTaken);
+        sized.add(shard.sentNt);
+    }
+    const auto sites = sized.sites(bytes);
+    EXPECT_GE(sites.size(), 4u + good.corpus.size());
+    for (const VectorSite &site : sites) {
+        writeBytes(probe.path, shortenVector(bytes, site));
+        EXPECT_THROW(resume(), FatalError)
+            << "vector at offset " << site.offset;
+    }
 }
 
 } // namespace

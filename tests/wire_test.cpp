@@ -533,14 +533,15 @@ TEST(Wire, FrameReaderResetRecoversAfterGarbage)
 
 TEST(Wire, JoinIdentityMismatchNamesTheField)
 {
-    fleet::Join want;
+    explore::SessionIdentity want;
     want.shards = 3;
     want.configHash = 0x1111;
     want.sessionWord = 0xaaaa;
     want.seedsDigest = 0x5e5e;
 
-    fleet::Join got = want;
-    got.seedsDigest = 0x6f6f;
+    fleet::Join got;
+    got.identity = want;
+    got.identity.seedsDigest = 0x6f6f;
     try {
         fleet::validateJoin(got, want);
         FAIL() << "seeds-digest mismatch was accepted";
@@ -552,8 +553,8 @@ TEST(Wire, JoinIdentityMismatchNamesTheField)
                   std::string::npos);
     }
 
-    got = want;
-    got.sessionWord = 0xbbbb;
+    got.identity = want;
+    got.identity.sessionWord = 0xbbbb;
     try {
         fleet::validateJoin(got, want);
         FAIL() << "session-word mismatch was accepted";
@@ -563,7 +564,7 @@ TEST(Wire, JoinIdentityMismatchNamesTheField)
                   std::string::npos);
     }
 
-    got = want;
+    got.identity = want;
     got.wireVersion = wire::kWireVersion + 1;
     try {
         fleet::validateJoin(got, want);
@@ -573,7 +574,8 @@ TEST(Wire, JoinIdentityMismatchNamesTheField)
     }
 
     // desiredShard and lastAckedRound are negotiation, not identity.
-    got = want;
+    got = fleet::Join();
+    got.identity = want;
     got.desiredShard = 2;
     got.lastAckedRound = 7;
     EXPECT_NO_THROW(fleet::validateJoin(got, want));
@@ -589,7 +591,7 @@ TEST(Wire, JoinRefusesOtherDataOrEntry)
     const auto &w = workloads::getWorkload("schedule");
     auto program = minic::compile(w.source, w.name);
 
-    fleet::Join want;
+    explore::SessionIdentity want;
     want.shards = 2;
     want.programFp = analysis::programFingerprint(program);
 
@@ -600,8 +602,9 @@ TEST(Wire, JoinRefusesOtherDataOrEntry)
     moved.entry += 1;
 
     for (const isa::Program *other : {&flipped, &moved}) {
-        fleet::Join got = want;
-        got.programFp = analysis::programFingerprint(*other);
+        fleet::Join got;
+        got.identity = want;
+        got.identity.programFp = analysis::programFingerprint(*other);
         try {
             fleet::validateJoin(got, want);
             FAIL() << "program mismatch was accepted";
@@ -612,8 +615,9 @@ TEST(Wire, JoinRefusesOtherDataOrEntry)
         }
     }
 
-    fleet::Join same = want;
-    same.programFp = analysis::programFingerprint(program);
+    fleet::Join same;
+    same.identity = want;
+    same.identity.programFp = analysis::programFingerprint(program);
     EXPECT_NO_THROW(fleet::validateJoin(same, want));
 }
 
@@ -625,21 +629,34 @@ TEST(Wire, JoinRefusesOtherDataOrEntry)
 TEST(Wire, SessionWordTracksOffWireKnobs)
 {
     explore::ExploreOptions base;
-    uint64_t word = fleet::sessionWord(base);
-    EXPECT_EQ(word, fleet::sessionWord(base));
+    uint64_t word = explore::sessionWord(base);
+    EXPECT_EQ(word, explore::sessionWord(base));
 
     explore::ExploreOptions batch = base;
     batch.batchSize = base.batchSize + 1;
-    EXPECT_NE(fleet::sessionWord(batch), word);
+    EXPECT_NE(explore::sessionWord(batch), word);
 
     explore::ExploreOptions pct = base;
     pct.rarePercentile = base.rarePercentile + 0.1;
-    EXPECT_NE(fleet::sessionWord(pct), word);
+    EXPECT_NE(explore::sessionWord(pct), word);
 
     explore::ExploreOptions pol = base;
     pol.policy = explore::SchedulePolicy::UniformRandom;
     ASSERT_NE(pol.policy, base.policy);
-    EXPECT_NE(fleet::sessionWord(pol), word);
+    EXPECT_NE(explore::sessionWord(pol), word);
+
+    explore::ExploreOptions len = base;
+    len.mutator.maxLength = base.mutator.maxLength / 2;
+    EXPECT_NE(explore::sessionWord(len), word);
+
+    explore::ExploreOptions stack = base;
+    stack.mutator.maxStack = base.mutator.maxStack + 1;
+    EXPECT_NE(explore::sessionWord(stack), word);
+
+    // The worker count changes no result, so it is not identity.
+    explore::ExploreOptions threads = base;
+    threads.threads = base.threads + 3;
+    EXPECT_EQ(explore::sessionWord(threads), word);
 }
 
 // --- Version negotiation --------------------------------------------
@@ -667,9 +684,9 @@ TEST(Wire, VersionBumpedHelloIsRejectedWithBothValues)
 TEST(Wire, HelloIdentityMismatchNamesTheField)
 {
     fleet::Hello want;
-    want.configHash = 0x1111;
+    want.identity.configHash = 0x1111;
     fleet::Hello got = want;
-    got.configHash = 0x2222;
+    got.identity.configHash = 0x2222;
 
     try {
         fleet::validateHello(got, want);
@@ -741,7 +758,7 @@ TEST_F(WireCheckpointTest, VersionCorruptionReportsExpectedAndFound)
     } catch (const FatalError &err) {
         std::string what = err.what();
         EXPECT_NE(what.find("version mismatch"), std::string::npos);
-        EXPECT_NE(what.find("expected 3"), std::string::npos);
+        EXPECT_NE(what.find("expected 4"), std::string::npos);
         EXPECT_NE(what.find("found 77"), std::string::npos);
     }
     std::remove(file.c_str());
